@@ -1,16 +1,13 @@
 // Shared command-line handling for the figure benches.
 //
 // Usage of every fig binary:
-//   figN [--csv] [--kernels=a,b,c] [--jobs=N] [--batch=K]
+//   figN [--csv] [--kernels=a,b,c] [--jobs=N]
 //        [--store=PATH] [--no-store] [--deadline=SECS] [--retries=N]
 //        [--request-priority=P]
 // With no arguments the full 14-kernel suite is run and a fixed-width table
 // (matching the paper figure's bars, plus the AVERAGE bar) is printed.
 // --jobs sets the worker-pool width of the parallel experiment engine
 // (default: one per hardware thread; --jobs=1 is the serial path).
-// --batch sets the config-parallel batch width: each pool task replays one
-// compressed-trace pass over up to K same-class DL1 configurations
-// (default: 1 — the unbatched path; results are identical either way).
 // --store=PATH opens (creating if absent) the persistent result store:
 // previously simulated grid points are read back instead of re-simulated,
 // new points are appended. The STTSIM_RESULT_STORE environment variable
@@ -53,7 +50,6 @@ struct Options {
   bool csv = false;
   std::vector<std::string> kernels;
   unsigned jobs = 0;   ///< 0 = hardware_concurrency
-  unsigned batch = 1;  ///< config-parallel lanes per grid task; 1 = unbatched
   std::string store;   ///< result-store path; "" = memoization disabled
   std::string trace_store;  ///< trace-store path; "" = persistence disabled
   double deadline_s = 0.0;  ///< wall-clock budget per grid; 0 = none
@@ -97,9 +93,6 @@ inline Options parse(int argc, char** argv) {
       o.trace_store = arg.substr(14);
     } else if (arg.rfind("--jobs=", 0) == 0) {
       o.jobs = static_cast<unsigned>(std::strtoul(arg.c_str() + 7, nullptr, 10));
-    } else if (arg.rfind("--batch=", 0) == 0) {
-      o.batch =
-          static_cast<unsigned>(std::strtoul(arg.c_str() + 8, nullptr, 10));
     } else if (arg.rfind("--deadline=", 0) == 0) {
       o.deadline_s = std::strtod(arg.c_str() + 11, nullptr);
     } else if (arg.rfind("--retries=", 0) == 0) {
@@ -120,7 +113,7 @@ inline Options parse(int argc, char** argv) {
     } else {
       std::fprintf(stderr,
                    "usage: %s [--csv] [--kernels=a,b,c] [--jobs=N] "
-                   "[--batch=K] [--store=PATH] [--no-store] "
+                   "[--store=PATH] [--no-store] "
                    "[--trace-store=PATH] [--no-trace-store] "
                    "[--deadline=SECS] [--retries=N] [--request-priority=P]\n",
                    argv[0]);
@@ -142,7 +135,6 @@ inline Options parse(int argc, char** argv) {
   }
   if (no_trace_store) o.trace_store.clear();
   exec::set_default_jobs(o.jobs);
-  exec::set_default_batch(o.batch);
   exec::CampaignRequest request;
   request.priority = o.priority;
   request.deadline_s = o.deadline_s;

@@ -67,27 +67,6 @@ BENCHMARK(BM_SimulateKernel)
     ->Arg(static_cast<int>(cpu::Dl1Organization::kNvmEmshr))
     ->Arg(static_cast<int>(cpu::Dl1Organization::kNvmWriteBuf));
 
-// The same replay through InOrderCore's generic virtual-dispatch loop — the
-// devirtualized fast path's reference. The ratio of the two benchmarks is
-// the hot-path overhaul's speedup.
-void BM_SimulateKernelReference(benchmark::State& state) {
-  const auto org = static_cast<cpu::Dl1Organization>(state.range(0));
-  const auto trace =
-      workloads::gemm(32, 32, 32, workloads::CodegenOptions::none());
-  cpu::SystemConfig cfg;
-  cfg.organization = org;
-  cpu::System system(cfg);
-  for (auto _ : state) {
-    const auto stats = system.run_reference(trace);
-    benchmark::DoNotOptimize(stats.core.total_cycles);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(trace.size()));
-}
-BENCHMARK(BM_SimulateKernelReference)
-    ->Arg(static_cast<int>(cpu::Dl1Organization::kSramBaseline))
-    ->Arg(static_cast<int>(cpu::Dl1Organization::kNvmVwb));
-
 void BM_VwbLookup(benchmark::State& state) {
   core::VeryWideBuffer vwb(core::VwbGeometry{2, 128, 64});
   std::vector<core::VwbWriteback> wbs;

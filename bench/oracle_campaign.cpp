@@ -3,12 +3,7 @@
 // experiment engine. Prints throughput and exits nonzero on the first
 // divergence (after ddmin minimization, writing a replayable reproducer).
 //
-//   oracle_campaign [--seeds=N] [--ops=N] [--jobs=N] [--batch=K]
-//
-// With --batch=K each (organization, region, seed) probe additionally runs
-// the config-parallel batched replay stack — K clock-varied lanes of the
-// organization over the compressed trace — against an independent oracle
-// replay per lane (check::run_batch_differential).
+//   oracle_campaign [--seeds=N] [--ops=N] [--jobs=N]
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -49,7 +44,6 @@ struct Job {
 int main(int argc, char** argv) {
   std::uint64_t seeds = 500;
   std::size_t ops = 2000;
-  unsigned batch = 0;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--seeds=", 0) == 0) {
@@ -59,12 +53,9 @@ int main(int argc, char** argv) {
     } else if (arg.rfind("--jobs=", 0) == 0) {
       exec::set_default_jobs(
           static_cast<unsigned>(std::strtoul(arg.c_str() + 7, nullptr, 10)));
-    } else if (arg.rfind("--batch=", 0) == 0) {
-      batch =
-          static_cast<unsigned>(std::strtoul(arg.c_str() + 8, nullptr, 10));
     } else {
       std::fprintf(stderr,
-                   "usage: %s [--seeds=N] [--ops=N] [--jobs=N] [--batch=K]\n",
+                   "usage: %s [--seeds=N] [--ops=N] [--jobs=N]\n",
                    argv[0]);
       return 2;
     }
@@ -96,16 +87,7 @@ int main(int argc, char** argv) {
       cpu::SystemConfig cfg;
       cfg.organization = job.org;
       const cpu::Trace trace = testutil::random_trace(job.seed, ops, job.region);
-      check::Divergence div = check::run_differential(cfg, trace);
-      if (!div.diverged && batch > 1) {
-        // Same probe through the batched stack: K clock-varied lanes of
-        // this organization, each checked against its own oracle replay.
-        std::vector<cpu::SystemConfig> lanes(batch, cfg);
-        for (unsigned l = 0; l < batch; ++l) {
-          lanes[l].clock_ghz = 1.0 + 0.25 * l;
-        }
-        div = check::run_batch_differential(lanes, trace);
-      }
+      const check::Divergence div = check::run_differential(cfg, trace);
       done.fetch_add(1, std::memory_order_relaxed);
       if (!div.diverged) return;
       std::lock_guard<std::mutex> lock(fail_mutex);

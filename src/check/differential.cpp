@@ -5,8 +5,7 @@
 #include <fstream>
 #include <utility>
 
-#include "sttsim/cpu/batch_replay.hpp"
-#include "sttsim/cpu/in_order_core.hpp"
+#include "sttsim/cpu/decoded_trace.hpp"
 #include "sttsim/cpu/trace_io.hpp"
 #include "sttsim/util/text.hpp"
 
@@ -45,6 +44,23 @@ constexpr StatField kMemStatFields[] = {
     // are end-of-run array snapshots, not part of the per-op contract.
 };
 
+struct CoreField {
+  const char* name;
+  std::uint64_t sim::CoreStats::* member;
+};
+
+/// The core counters the replay loop books, checked once at the end of the
+/// run: a loop that charges a stall to the wrong counter keeps every
+/// per-op completion cycle right.
+constexpr CoreField kCoreStatFields[] = {
+    {"instructions", &sim::CoreStats::instructions},
+    {"mem_instructions", &sim::CoreStats::mem_instructions},
+    {"exec_cycles", &sim::CoreStats::exec_cycles},
+    {"read_stall_cycles", &sim::CoreStats::read_stall_cycles},
+    {"write_stall_cycles", &sim::CoreStats::write_stall_cycles},
+    {"total_cycles", &sim::CoreStats::total_cycles},
+};
+
 const char* kind_name(cpu::OpKind kind) {
   switch (kind) {
     case cpu::OpKind::kExec:
@@ -68,210 +84,103 @@ Divergence run_differential(const cpu::SystemConfig& config,
   std::unique_ptr<ReferenceDl1> oracle = make_reference_dl1(config, faults);
 
   Divergence div;
-  std::size_t shadow_seen = 0;
-  cpu::InOrderCore core;
-  core.run_observed(trace, system.dl1(), [&](const cpu::OpEvent& ev) {
-    if (div.diverged) return;  // oracle stops at the first divergence
-    const cpu::TraceOp& op = *ev.op;
-
-    sim::Cycle predicted = 0;
-    switch (op.kind) {
-      case cpu::OpKind::kExec:
-        predicted = ev.issue + op.count;
-        break;
-      case cpu::OpKind::kLoad:
-        predicted = std::max<sim::Cycle>(
-            ev.issue + 1, oracle->load(op.addr, op.size, ev.issue));
-        break;
-      case cpu::OpKind::kStore:
-        predicted = std::max<sim::Cycle>(
-            ev.issue + 1,
-            oracle->store(op.addr, op.size, op.value, ev.issue));
-        break;
-      case cpu::OpKind::kPrefetch:
-        oracle->prefetch(op.addr, ev.issue);
-        predicted = ev.issue + 1;
-        break;
-    }
-
-    const auto flag = [&](const std::string& field, std::uint64_t expected,
-                          std::uint64_t observed) {
-      div.diverged = true;
-      div.op_index = ev.index;
-      div.field = field;
-      div.expected = expected;
-      div.observed = observed;
+  const auto flag = [&](std::size_t index, const std::string& field,
+                        std::uint64_t expected, std::uint64_t observed) {
+    div.diverged = true;
+    div.op_index = index;
+    div.field = field;
+    div.expected = expected;
+    div.observed = observed;
+    if (index < trace.size()) {
+      const cpu::TraceOp& op = trace[index];
       div.detail = strprintf(
           "op #%zu (%s addr=0x%llx size=%u): %s oracle=%llu simulator=%llu",
-          ev.index, kind_name(op.kind),
-          static_cast<unsigned long long>(op.addr),
+          index, kind_name(op.kind), static_cast<unsigned long long>(op.addr),
           static_cast<unsigned>(op.size), field.c_str(),
           static_cast<unsigned long long>(expected),
           static_cast<unsigned long long>(observed));
-    };
-
-    if (predicted != ev.complete) {
-      flag("cycle", predicted, ev.complete);
-      return;
+    } else {
+      div.detail = strprintf("end of run (%zu ops): %s oracle=%llu "
+                             "simulator=%llu",
+                             trace.size(), field.c_str(),
+                             static_cast<unsigned long long>(expected),
+                             static_cast<unsigned long long>(observed));
     }
-    const sim::MemStats& got = system.dl1().stats();
-    const sim::MemStats& want = oracle->stats();
-    for (const StatField& f : kMemStatFields) {
-      if (got.*(f.member) != want.*(f.member)) {
-        flag(f.name, want.*(f.member), got.*(f.member));
-        return;
-      }
-    }
-    const auto& violations = oracle->shadow_violations();
-    if (violations.size() > shadow_seen) {
-      const ShadowViolation& v = violations[shadow_seen];
-      flag("shadow", v.expected, v.observed);
-      div.detail = strprintf(
-          "op #%zu (%s addr=0x%llx size=%u): shadow at 0x%llx level=%s "
-          "expected=0x%02x observed=0x%02x",
-          ev.index, kind_name(op.kind),
-          static_cast<unsigned long long>(op.addr),
-          static_cast<unsigned>(op.size),
-          static_cast<unsigned long long>(v.addr), v.level.c_str(),
-          static_cast<unsigned>(v.expected), static_cast<unsigned>(v.observed));
-    }
-  });
-  return div;
-}
+  };
 
-Divergence run_batch_differential(const std::vector<cpu::SystemConfig>& configs,
-                                  const cpu::Trace& trace,
-                                  const OracleFaults& faults) {
-  Divergence div;
-  if (configs.empty()) return div;
-  for (const cpu::SystemConfig& c : configs) c.validate();
-
-  // The production side: the full batched stack — decode, delta/RLE
-  // compression, class-homogeneous lane partitioning, one replay pass per
-  // partition — exactly as the grid layer schedules it.
-  const cpu::DecodedTrace decoded = cpu::decode(trace);
-  const cpu::CompressedTrace compressed = cpu::compress(decoded);
-  std::vector<sim::RunStats> batched(configs.size());
-  for (const std::vector<std::size_t>& part :
-       cpu::partition_batches(configs, cpu::kMaxBatchLanes)) {
-    std::vector<cpu::System> systems;
-    systems.reserve(part.size());
-    for (const std::size_t i : part) {
-      systems.emplace_back(configs[i], cpu::System::kPrevalidated);
-    }
-    std::vector<cpu::System*> lanes;
-    lanes.reserve(systems.size());
-    for (cpu::System& s : systems) lanes.push_back(&s);
-    const std::vector<sim::RunStats> stats =
-        cpu::System::run_batch(compressed, lanes);
-    for (std::size_t i = 0; i < part.size(); ++i) batched[part[i]] = stats[i];
-  }
-
-  // The oracle side: replay the raw trace over a fresh reference DL1 per
-  // configuration with the replay loop's timing semantics, then compare
-  // final states lane by lane.
-  for (std::size_t lane = 0; lane < configs.size(); ++lane) {
-    std::unique_ptr<ReferenceDl1> oracle =
-        make_reference_dl1(configs[lane], faults);
-    sim::RunStats want;
-    sim::Cycle now = 0;
-    for (const cpu::TraceOp& op : trace) {
-      switch (op.kind) {
-        case cpu::OpKind::kExec:
-          want.core.instructions += op.count;
-          want.core.exec_cycles += op.count;
-          now += op.count;
-          break;
-        case cpu::OpKind::kLoad: {
-          want.core.instructions += 1;
-          want.core.mem_instructions += 1;
-          want.core.exec_cycles += 1;
-          const sim::Cycle issue_done = now + 1;
-          const sim::Cycle done = std::max<sim::Cycle>(
-              issue_done, oracle->load(op.addr, op.size, now));
-          want.core.read_stall_cycles += done - issue_done;
-          now = done;
-          break;
+  // The oracle's own core: its clock and counters follow the timing rules
+  // of DESIGN.md independently of the production loop.
+  sim::CoreStats want;
+  sim::Cycle now = 0;
+  const sim::RunStats got = system.run(
+      cpu::decode(trace), [&](const cpu::OpEvent& ev) {
+        if (div.diverged) return;  // the oracle stops at the first divergence
+        const cpu::TraceOp& op = trace[ev.index];
+        const sim::Cycle issue_done = now + 1;
+        switch (op.kind) {
+          case cpu::OpKind::kExec:
+            want.instructions += op.count;
+            want.exec_cycles += op.count;
+            now += op.count;
+            break;
+          case cpu::OpKind::kLoad: {
+            want.instructions += 1;
+            want.mem_instructions += 1;
+            want.exec_cycles += 1;
+            now = std::max<sim::Cycle>(issue_done,
+                                       oracle->load(op.addr, op.size, now));
+            want.read_stall_cycles += now - issue_done;
+            break;
+          }
+          case cpu::OpKind::kStore: {
+            want.instructions += 1;
+            want.mem_instructions += 1;
+            want.exec_cycles += 1;
+            now = std::max<sim::Cycle>(
+                issue_done, oracle->store(op.addr, op.size, op.value, now));
+            want.write_stall_cycles += now - issue_done;
+            break;
+          }
+          case cpu::OpKind::kPrefetch:
+            want.instructions += 1;
+            want.exec_cycles += 1;
+            oracle->prefetch(op.addr, now);
+            now = issue_done;
+            break;
         }
-        case cpu::OpKind::kStore: {
-          want.core.instructions += 1;
-          want.core.mem_instructions += 1;
-          want.core.exec_cycles += 1;
-          const sim::Cycle issue_done = now + 1;
-          const sim::Cycle done = std::max<sim::Cycle>(
-              issue_done, oracle->store(op.addr, op.size, op.value, now));
-          want.core.write_stall_cycles += done - issue_done;
-          now = done;
-          break;
+
+        if (now != ev.complete) {
+          flag(ev.index, "cycle", now, ev.complete);
+          return;
         }
-        case cpu::OpKind::kPrefetch:
-          want.core.instructions += 1;
-          want.core.exec_cycles += 1;
-          oracle->prefetch(op.addr, now);
-          now += 1;
-          break;
-      }
-    }
-    want.core.total_cycles = now;
-    want.mem = oracle->stats();
+        const sim::MemStats& got_mem = system.dl1().stats();
+        const sim::MemStats& want_mem = oracle->stats();
+        for (const StatField& f : kMemStatFields) {
+          if (got_mem.*(f.member) != want_mem.*(f.member)) {
+            flag(ev.index, f.name, want_mem.*(f.member), got_mem.*(f.member));
+            return;
+          }
+        }
+        if (!oracle->shadow_violations().empty()) {
+          const ShadowViolation& v = oracle->shadow_violations().front();
+          flag(ev.index, "shadow", v.expected, v.observed);
+          div.detail = strprintf(
+              "op #%zu (%s addr=0x%llx size=%u): shadow at 0x%llx level=%s "
+              "expected=0x%02x observed=0x%02x",
+              ev.index, kind_name(op.kind),
+              static_cast<unsigned long long>(op.addr),
+              static_cast<unsigned>(op.size),
+              static_cast<unsigned long long>(v.addr), v.level.c_str(),
+              static_cast<unsigned>(v.expected),
+              static_cast<unsigned>(v.observed));
+        }
+      });
+  if (div.diverged) return div;
 
-    const auto flag = [&](const char* field, std::uint64_t expected,
-                          std::uint64_t observed) {
-      div.diverged = true;
-      div.lane = lane;
-      div.field = field;
-      div.expected = expected;
-      div.observed = observed;
-      div.detail = strprintf(
-          "batch lane %zu (%s): %s oracle=%llu batched=%llu", lane,
-          cpu::to_string(configs[lane].organization), field,
-          static_cast<unsigned long long>(expected),
-          static_cast<unsigned long long>(observed));
-    };
-
-    const sim::RunStats& got = batched[lane];
-    if (want.core.total_cycles != got.core.total_cycles) {
-      flag("total_cycles", want.core.total_cycles, got.core.total_cycles);
-      return div;
-    }
-    if (want.core.instructions != got.core.instructions) {
-      flag("instructions", want.core.instructions, got.core.instructions);
-      return div;
-    }
-    if (want.core.mem_instructions != got.core.mem_instructions) {
-      flag("mem_instructions", want.core.mem_instructions,
-           got.core.mem_instructions);
-      return div;
-    }
-    if (want.core.exec_cycles != got.core.exec_cycles) {
-      flag("exec_cycles", want.core.exec_cycles, got.core.exec_cycles);
-      return div;
-    }
-    if (want.core.read_stall_cycles != got.core.read_stall_cycles) {
-      flag("read_stall_cycles", want.core.read_stall_cycles,
-           got.core.read_stall_cycles);
-      return div;
-    }
-    if (want.core.write_stall_cycles != got.core.write_stall_cycles) {
-      flag("write_stall_cycles", want.core.write_stall_cycles,
-           got.core.write_stall_cycles);
-      return div;
-    }
-    for (const StatField& f : kMemStatFields) {
-      if (want.mem.*(f.member) != got.mem.*(f.member)) {
-        flag(f.name, want.mem.*(f.member), got.mem.*(f.member));
-        return div;
-      }
-    }
-    if (!oracle->shadow_violations().empty()) {
-      const ShadowViolation& v = oracle->shadow_violations().front();
-      flag("shadow", v.expected, v.observed);
-      div.detail = strprintf(
-          "batch lane %zu (%s): shadow at 0x%llx level=%s expected=0x%02x "
-          "observed=0x%02x",
-          lane, cpu::to_string(configs[lane].organization),
-          static_cast<unsigned long long>(v.addr), v.level.c_str(),
-          static_cast<unsigned>(v.expected), static_cast<unsigned>(v.observed));
+  want.total_cycles = now;
+  for (const CoreField& f : kCoreStatFields) {
+    if (got.core.*(f.member) != want.*(f.member)) {
+      flag(trace.size(), f.name, want.*(f.member), got.core.*(f.member));
       return div;
     }
   }

@@ -1,12 +1,12 @@
 // Differential fuzz driver: runs a production cpu::System and the reference
 // oracle (check/oracle.hpp) in lockstep over one trace, comparing after every
-// op. On divergence, a delta-debugging minimizer (ddmin) shrinks the trace to
-// a 1-minimal reproducer that can be written out as a replayable artifact.
+// op and once more at the end of the run. On divergence, a delta-debugging
+// minimizer (ddmin) shrinks the trace to a 1-minimal reproducer that can be
+// written out as a replayable artifact.
 #pragma once
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "sttsim/check/oracle.hpp"
 #include "sttsim/cpu/system.hpp"
@@ -18,34 +18,25 @@ namespace sttsim::check {
 struct Divergence {
   bool diverged = false;
   std::size_t op_index = 0;  ///< index of the offending op in the trace
-  std::size_t lane = 0;      ///< batch lane (run_batch_differential only)
-  std::string field;  ///< "cycle", a sim::MemStats field name, or "shadow"
+                             ///< (the trace length for end-of-run fields)
+  std::string field;  ///< "cycle", a sim::MemStats or sim::CoreStats field
+                      ///< name, or "shadow"
   std::uint64_t expected = 0;  ///< oracle-side value
   std::uint64_t observed = 0;  ///< simulator-side value
   std::string detail;          ///< one-line human-readable description
 };
 
-/// Runs `trace` through a freshly built cpu::System for `config` and through
-/// the reference oracle in lockstep. After every op the returned completion
-/// cycle, every sim::MemStats counter, and the data-content shadow log are
-/// compared; the first mismatch is returned. `faults` injects deliberate
-/// oracle bugs (checker-sensitivity tests).
+/// Runs `trace` through a freshly built cpu::System for `config` — the
+/// same replay loop instantiation run_grid uses, via System::run's observed
+/// overload — and through the reference oracle in lockstep. After every op
+/// the completion cycle, every sim::MemStats counter and the data-content
+/// shadow log are compared; after the last op, the core counters System
+/// returned are compared with the oracle's own tally. The first mismatch is
+/// returned. `faults` injects deliberate oracle bugs (checker-sensitivity
+/// tests).
 Divergence run_differential(const cpu::SystemConfig& config,
                             const cpu::Trace& trace,
                             const OracleFaults& faults = {});
-
-/// Batched-path oracle check: runs `trace` through the config-parallel
-/// batched replay engine (cpu::System::run_batch over the compressed trace,
-/// lanes grouped by concrete class exactly like the grid layer), then
-/// replays the trace over a fresh reference oracle per configuration with
-/// the replay loop's timing semantics. Every lane's final core counters,
-/// all sim::MemStats fields, and the oracle's data-content shadow are
-/// compared; the first mismatch is returned with its lane index.
-/// Unlike run_differential this compares end states, not per-op states —
-/// it is the oracle closure over the batching + trace-compression layers.
-Divergence run_batch_differential(const std::vector<cpu::SystemConfig>& configs,
-                                  const cpu::Trace& trace,
-                                  const OracleFaults& faults = {});
 
 /// Result of delta-debugging minimization.
 struct MinimizeResult {

@@ -1,5 +1,7 @@
 #include "sttsim/cpu/decoded_trace.hpp"
 
+#include <cstring>
+
 namespace sttsim::cpu {
 
 DecodedTrace decode(const Trace& trace) {
@@ -39,6 +41,38 @@ Trace reassemble(const DecodedTrace& decoded) {
 
 namespace {
 
+/// Tag byte announcing a verbatim 16-byte DecodedOp.
+constexpr std::uint8_t kCompressedEscape = 0xFF;
+
+std::uint64_t zigzag(std::int64_t v) {
+  return (static_cast<std::uint64_t>(v) << 1) ^
+         static_cast<std::uint64_t>(v >> 63);
+}
+std::int64_t unzigzag(std::uint64_t v) {
+  return static_cast<std::int64_t>((v >> 1) ^ (~(v & 1) + 1));
+}
+
+/// LEB128. The writer appends to a byte vector; the reader advances `p`
+/// (streams are produced by compress(), so a well-formed varint is a
+/// structural invariant, not an input to validate per op).
+void write_varint(std::vector<std::uint8_t>& out, std::uint64_t v) {
+  while (v >= 0x80) {
+    out.push_back(static_cast<std::uint8_t>(v) | 0x80u);
+    v >>= 7;
+  }
+  out.push_back(static_cast<std::uint8_t>(v));
+}
+std::uint64_t read_varint(const std::uint8_t*& p) {
+  std::uint64_t v = 0;
+  unsigned shift = 0;
+  for (;;) {
+    const std::uint8_t b = *p++;
+    v |= static_cast<std::uint64_t>(b & 0x7Fu) << shift;
+    if ((b & 0x80u) == 0) return v;
+    shift += 7;
+  }
+}
+
 /// Whether the compact (non-escape) encoding reproduces `op` exactly under
 /// the cursor's expansion rules. Anything else — zero-count exec bundles,
 /// memory ops with instruction counts, spans that disagree with the
@@ -54,6 +88,61 @@ bool compact_representable(const DecodedOp& op) {
          op.span64 == span_of(op.addr, op.size, 6);
 }
 
+/// Streaming expansion of one CompressedTrace: `next()` produces ops in
+/// order, carrying prev_addr/prev_size exactly as compress() does.
+class CompressedCursor {
+ public:
+  explicit CompressedCursor(const CompressedTrace& trace)
+      : p_(trace.bytes.data()), end_(p_ + trace.bytes.size()) {}
+
+  /// Expands the next op into `op`; returns false at end of stream.
+  bool next(DecodedOp& op) {
+    if (p_ == end_) return false;
+    const std::uint8_t tag = *p_++;
+    if (tag == kCompressedEscape) {
+      std::memcpy(&op, p_, sizeof(DecodedOp));
+      p_ += sizeof(DecodedOp);
+      if (op.kind != OpKind::kExec) {
+        prev_addr_ = op.addr;
+        prev_size_ = op.size;
+      }
+      return true;
+    }
+    const OpKind kind = static_cast<OpKind>(tag & 3u);
+    if (kind == OpKind::kExec) {
+      const std::uint32_t inline_count = tag >> 2;
+      op.addr = 0;
+      op.count =
+          inline_count < 63u
+              ? inline_count + 1u
+              : static_cast<std::uint32_t>(read_varint(p_));
+      op.kind = OpKind::kExec;
+      op.size = 0;
+      op.span32 = 1;
+      op.span64 = 1;
+      return true;
+    }
+    if (tag & 4u) prev_size_ = *p_++;
+    std::uint64_t zz = tag >> 3;
+    if (zz == 31u) zz = read_varint(p_);
+    prev_addr_ += unzigzag(zz);
+    op.addr = prev_addr_;
+    op.count = 1;
+    op.kind = kind;
+    op.size = prev_size_;
+    const bool mem = kind != OpKind::kPrefetch;
+    op.span32 = mem ? span_of(prev_addr_, prev_size_, 5) : std::uint8_t{1};
+    op.span64 = mem ? span_of(prev_addr_, prev_size_, 6) : std::uint8_t{1};
+    return true;
+  }
+
+ private:
+  const std::uint8_t* p_;
+  const std::uint8_t* end_;
+  Addr prev_addr_ = 0;
+  std::uint8_t prev_size_ = 0;
+};
+
 }  // namespace
 
 CompressedTrace compress(const DecodedTrace& decoded) {
@@ -67,7 +156,7 @@ CompressedTrace compress(const DecodedTrace& decoded) {
   std::uint8_t prev_size = 0;
   for (const DecodedOp& op : decoded.ops) {
     if (!compact_representable(op)) {
-      out.bytes.push_back(detail::kCompressedEscape);
+      out.bytes.push_back(kCompressedEscape);
       const std::size_t at = out.bytes.size();
       out.bytes.resize(at + sizeof(DecodedOp));
       std::memcpy(out.bytes.data() + at, &op, sizeof(DecodedOp));
@@ -82,21 +171,21 @@ CompressedTrace compress(const DecodedTrace& decoded) {
         out.bytes.push_back(static_cast<std::uint8_t>((op.count - 1u) << 2));
       } else {
         out.bytes.push_back(static_cast<std::uint8_t>(63u << 2));
-        detail::write_varint(out.bytes, op.count);
+        write_varint(out.bytes, op.count);
       }
       continue;
     }
-    const std::uint64_t zz = detail::zigzag(
+    const std::uint64_t zz = zigzag(
         static_cast<std::int64_t>(op.addr - prev_addr));
     const bool size_byte = op.size != prev_size;
     std::uint8_t tag = static_cast<std::uint8_t>(op.kind) |
                        (size_byte ? 4u : 0u);
     tag |= static_cast<std::uint8_t>((zz < 31 ? zz : 31) << 3);
-    if (tag == detail::kCompressedEscape) {
+    if (tag == kCompressedEscape) {
       // kPrefetch + size byte + varint marker collides with the escape tag
       // (all bits set); emit the op verbatim instead. The cursor's escape
       // path updates prev_addr/prev_size the same way this branch does.
-      out.bytes.push_back(detail::kCompressedEscape);
+      out.bytes.push_back(kCompressedEscape);
       const std::size_t at = out.bytes.size();
       out.bytes.resize(at + sizeof(DecodedOp));
       std::memcpy(out.bytes.data() + at, &op, sizeof(DecodedOp));
@@ -106,7 +195,7 @@ CompressedTrace compress(const DecodedTrace& decoded) {
     }
     out.bytes.push_back(tag);
     if (size_byte) out.bytes.push_back(op.size);
-    if (zz >= 31) detail::write_varint(out.bytes, zz);
+    if (zz >= 31) write_varint(out.bytes, zz);
     prev_addr = op.addr;
     prev_size = op.size;
   }

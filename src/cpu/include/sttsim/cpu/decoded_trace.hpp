@@ -20,7 +20,6 @@
 #pragma once
 
 #include <cstdint>
-#include <cstring>
 #include <vector>
 
 #include "sttsim/cpu/trace.hpp"
@@ -115,14 +114,11 @@ class DecodedTraceBuilder {
 
 // ---- Compressed decoded traces ---------------------------------------
 //
-// A decoded op is 16 bytes; a figure-sweep kernel trace is a few hundred
-// thousand ops, so every replay pass streams megabytes through the host
-// cache hierarchy. Accesses in the generated kernels are local — the next
-// address is usually the previous one plus the access width (the Alif MRAM
-// macro's 16 B sector granularity shows up as short strides) — so a
-// delta/RLE byte stream shrinks the hot stream to ~2 bytes per op and lets
-// whole kernels sit in the host L2 while a batched replay drives many DL1
-// configurations over one pass.
+// The persistent trace store (exec::TraceStore) keeps traces in a
+// delta/RLE byte stream of ~1-2 bytes per op instead of 16. Accesses in the
+// generated kernels are local — the next address is usually the previous
+// one plus the access width — so address deltas and exec-bundle counts fit
+// a tag byte most of the time.
 //
 // Format (one op at a time; `prev_addr`/`prev_size` carried across ops):
 //   tag & 3 == kind:
@@ -144,103 +140,6 @@ struct CompressedTrace {
 
   std::size_t size() const { return static_cast<std::size_t>(op_count); }
   bool empty() const { return op_count == 0; }
-  /// Footprint of the equivalent DecodedTrace op array (ratio reporting).
-  std::size_t decoded_bytes() const {
-    return static_cast<std::size_t>(op_count) * sizeof(DecodedOp);
-  }
-};
-
-namespace detail {
-
-/// Tag byte announcing a verbatim 16-byte DecodedOp.
-inline constexpr std::uint8_t kCompressedEscape = 0xFF;
-
-inline std::uint64_t zigzag(std::int64_t v) {
-  return (static_cast<std::uint64_t>(v) << 1) ^
-         static_cast<std::uint64_t>(v >> 63);
-}
-inline std::int64_t unzigzag(std::uint64_t v) {
-  return static_cast<std::int64_t>((v >> 1) ^ (~(v & 1) + 1));
-}
-
-/// LEB128. The writer appends to a byte vector; the reader advances `p`
-/// (streams are produced by compress(), so a well-formed varint is a
-/// structural invariant, not an input to validate per op).
-inline void write_varint(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  while (v >= 0x80) {
-    out.push_back(static_cast<std::uint8_t>(v) | 0x80u);
-    v >>= 7;
-  }
-  out.push_back(static_cast<std::uint8_t>(v));
-}
-inline std::uint64_t read_varint(const std::uint8_t*& p) {
-  std::uint64_t v = 0;
-  unsigned shift = 0;
-  for (;;) {
-    const std::uint8_t b = *p++;
-    v |= static_cast<std::uint64_t>(b & 0x7Fu) << shift;
-    if ((b & 0x80u) == 0) return v;
-    shift += 7;
-  }
-}
-
-}  // namespace detail
-
-/// Streaming expansion of one CompressedTrace: `next()` produces ops in
-/// order without materializing the 16-byte-per-op array. This is what the
-/// batched replay engine iterates, so the hot read stream is the compressed
-/// bytes, not the decoded array.
-class CompressedCursor {
- public:
-  explicit CompressedCursor(const CompressedTrace& trace)
-      : p_(trace.bytes.data()), end_(p_ + trace.bytes.size()) {}
-
-  /// Expands the next op into `op`; returns false at end of stream.
-  bool next(DecodedOp& op) {
-    if (p_ == end_) return false;
-    const std::uint8_t tag = *p_++;
-    if (tag == detail::kCompressedEscape) {
-      std::memcpy(&op, p_, sizeof(DecodedOp));
-      p_ += sizeof(DecodedOp);
-      if (op.kind != OpKind::kExec) {
-        prev_addr_ = op.addr;
-        prev_size_ = op.size;
-      }
-      return true;
-    }
-    const OpKind kind = static_cast<OpKind>(tag & 3u);
-    if (kind == OpKind::kExec) {
-      const std::uint32_t inline_count = tag >> 2;
-      op.addr = 0;
-      op.count =
-          inline_count < 63u
-              ? inline_count + 1u
-              : static_cast<std::uint32_t>(detail::read_varint(p_));
-      op.kind = OpKind::kExec;
-      op.size = 0;
-      op.span32 = 1;
-      op.span64 = 1;
-      return true;
-    }
-    if (tag & 4u) prev_size_ = *p_++;
-    std::uint64_t zz = tag >> 3;
-    if (zz == 31u) zz = detail::read_varint(p_);
-    prev_addr_ += detail::unzigzag(zz);
-    op.addr = prev_addr_;
-    op.count = 1;
-    op.kind = kind;
-    op.size = prev_size_;
-    const bool mem = kind != OpKind::kPrefetch;
-    op.span32 = mem ? span_of(prev_addr_, prev_size_, 5) : std::uint8_t{1};
-    op.span64 = mem ? span_of(prev_addr_, prev_size_, 6) : std::uint8_t{1};
-    return true;
-  }
-
- private:
-  const std::uint8_t* p_;
-  const std::uint8_t* end_;
-  Addr prev_addr_ = 0;
-  std::uint8_t prev_size_ = 0;
 };
 
 /// Delta/RLE-compresses a decoded trace. Exact inverse under decompress()

@@ -5,18 +5,27 @@
 // SystemConfig, then call run() on a workload trace.
 #pragma once
 
+#include <cstddef>
+#include <functional>
 #include <memory>
 #include <string>
-#include <vector>
+#include <variant>
 
 #include "sttsim/core/dl1_system.hpp"
 #include "sttsim/core/vwb.hpp"
 #include "sttsim/cpu/decoded_trace.hpp"
-#include "sttsim/cpu/in_order_core.hpp"
 #include "sttsim/cpu/trace.hpp"
 #include "sttsim/mem/l2_system.hpp"
 #include "sttsim/reliability/fault.hpp"
 #include "sttsim/tech/technology.hpp"
+
+namespace sttsim::core {
+class PlainDl1System;
+class VwbDl1System;
+}  // namespace sttsim::core
+namespace sttsim::alt {
+class NarrowFrontDl1System;
+}  // namespace sttsim::alt
 
 namespace sttsim::cpu {
 
@@ -34,16 +43,6 @@ enum class Dl1Organization {
 };
 
 const char* to_string(Dl1Organization org);
-
-/// The concrete implementation class a SystemConfig maps onto. All six
-/// organizations resolve to one of three `final` classes; the batched
-/// replay engine may only co-schedule configurations of the same class
-/// (homogeneous batches share one template specialization of the loop).
-enum class Dl1ConcreteClass {
-  kPlain,        ///< core::PlainDl1System
-  kVwb,          ///< core::VwbDl1System
-  kNarrowFront,  ///< alt::NarrowFrontDl1System
-};
 
 struct SystemConfig {
   Dl1Organization organization = Dl1Organization::kSramBaseline;
@@ -78,8 +77,8 @@ struct SystemConfig {
 
   /// Whether this configuration actually injects faults: enabled AND an
   /// STT-MRAM data array. Every layer keys off this — build() wraps the
-  /// DL1, the oracle wraps its reference, simulation_digest folds the
-  /// fault/ECC parameters, and the batch partitioner segregates lanes.
+  /// DL1, the oracle wraps its reference, and simulation_digest folds the
+  /// fault/ECC parameters.
   bool faults_active() const {
     return faults.enabled && organization != Dl1Organization::kSramBaseline;
   }
@@ -94,9 +93,18 @@ struct SystemConfig {
   void validate() const;
 };
 
-/// The concrete DL1 class System::build would instantiate for `config`
-/// (without building anything). Precondition: `config` validates.
-Dl1ConcreteClass concrete_class(const SystemConfig& config);
+/// One retired trace op, as seen by a replay observer: its position in the
+/// trace, the cycle it issued at and the cycle the core could proceed past
+/// it.
+struct OpEvent {
+  std::size_t index = 0;
+  sim::Cycle issue = 0;     ///< core time when the op issued
+  sim::Cycle complete = 0;  ///< core time after the op retired
+};
+
+/// Replay hook, called after every retired op. The differential oracle
+/// (src/check) uses it to follow a run in lockstep.
+using OpObserver = std::function<void(const OpEvent&)>;
 
 /// A fully-wired single-core platform.
 class System {
@@ -111,32 +119,18 @@ class System {
   System(const SystemConfig& config, Prevalidated);
 
   /// Runs a trace on a *fresh* system state (cold caches) and returns stats.
-  /// Replays through the devirtualized fast path (replay.hpp), decoding the
-  /// trace on the fly; callers replaying the same trace repeatedly should
-  /// decode once and use the DecodedTrace overload.
+  /// The Trace overload decodes on the fly; callers replaying the same
+  /// trace repeatedly should decode once and use the DecodedTrace overload.
   sim::RunStats run(const Trace& trace);
   sim::RunStats run(const DecodedTrace& trace);
+
+  /// Same replay loop, calling `observer` after every op. The differential
+  /// oracle drives production through this overload.
+  sim::RunStats run(const DecodedTrace& trace, const OpObserver& observer);
 
   /// Runs without resetting (for warm-up composition in tests).
   sim::RunStats run_warm(const Trace& trace);
   sim::RunStats run_warm(const DecodedTrace& trace);
-
-  /// Runs on a fresh state through InOrderCore's generic virtual-dispatch
-  /// loop — the reference the fast path is held byte-identical to
-  /// (tests/test_fastpath) and the fallback oracle for debugging.
-  sim::RunStats run_reference(const Trace& trace);
-
-  /// Config-parallel batched replay: one pass over `trace` drives every
-  /// system in `lanes` (each on a fresh state), returning stats in lane
-  /// order — bit-identical to lanes[i]->run(trace) for every i. All lanes
-  /// must share one concrete organization class (cpu::concrete_class;
-  /// cpu::partition_batches groups arbitrary config sets accordingly) and
-  /// there may be at most kMaxBatchLanes of them.
-  static std::vector<sim::RunStats> run_batch(const DecodedTrace& trace,
-                                              const std::vector<System*>& lanes);
-  /// Same, streaming the delta/RLE-compressed trace form.
-  static std::vector<sim::RunStats> run_batch(const CompressedTrace& trace,
-                                              const std::vector<System*>& lanes);
 
   const SystemConfig& config() const { return cfg_; }
   core::Dl1System& dl1() { return *dl1_; }
@@ -146,29 +140,22 @@ class System {
   void reset();
 
  private:
-  /// Replays a decoded trace via the organization-specialized loop selected
-  /// at build() time (compile-time dispatch, one indirect call per run).
-  using FastRunFn = sim::RunStats (*)(const DecodedTrace&, core::Dl1System&);
-  /// Batched equivalents (one per trace form), likewise selected at build()
-  /// time; equal batch_run_ pointers certify class-homogeneous lanes.
-  using BatchRunFn = std::vector<sim::RunStats> (*)(
-      const DecodedTrace&, const std::vector<core::Dl1System*>&);
-  using BatchRunCompressedFn = std::vector<sim::RunStats> (*)(
-      const CompressedTrace&, const std::vector<core::Dl1System*>&);
+  /// dl1_ under its concrete `final` class, recorded once by build(): run()
+  /// visits it to call the replay loop (cpu/replay.hpp) instantiated for
+  /// exactly that class, so no per-op call is virtual at the top level.
+  using ConcreteDl1 =
+      std::variant<core::PlainDl1System*, core::VwbDl1System*,
+                   alt::NarrowFrontDl1System*, reliability::FaultyDl1System*>;
 
   void build();
 
-  template <class TraceT>
-  static std::vector<sim::RunStats> run_batch_impl(
-      const TraceT& trace, const std::vector<System*>& lanes);
+  template <class Observe>
+  sim::RunStats replay_with(const DecodedTrace& trace, Observe observe);
 
   SystemConfig cfg_;
   std::unique_ptr<mem::L2System> l2_;
   std::unique_ptr<core::Dl1System> dl1_;
-  FastRunFn fast_run_ = nullptr;
-  BatchRunFn batch_run_ = nullptr;
-  BatchRunCompressedFn batch_run_compressed_ = nullptr;
-  InOrderCore core_;
+  ConcreteDl1 concrete_;
 };
 
 }  // namespace sttsim::cpu

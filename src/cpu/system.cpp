@@ -1,121 +1,13 @@
 #include "sttsim/cpu/system.hpp"
 
 #include <algorithm>
-#include <type_traits>
 
 #include "sttsim/alt/narrow_front_dl1.hpp"
 #include "sttsim/core/plain_dl1.hpp"
 #include "sttsim/core/vwb_dl1.hpp"
-#include "sttsim/cpu/batch_replay.hpp"
 #include "sttsim/cpu/replay.hpp"
-#include "sttsim/util/check.hpp"
 
 namespace sttsim::cpu {
-
-namespace {
-
-// One fast-run instantiation per concrete organization class. The cast is
-// safe by construction: build() pairs each dl1_ with the matching function.
-template <class Concrete>
-sim::RunStats fast_run_impl(const DecodedTrace& trace, core::Dl1System& dl1) {
-  return replay_decoded(trace, static_cast<Concrete&>(dl1));
-}
-
-// Batched counterpart: downcasts the lane set once, then hands the typed
-// lanes to the config-parallel loop. Same safety argument — build() pairs
-// each dl1_ with its class's function, and run_batch() requires every lane
-// to carry the same pair.
-template <class Concrete, class TraceT>
-std::vector<sim::RunStats> batch_run_impl(
-    const TraceT& trace, const std::vector<core::Dl1System*>& dl1s) {
-  std::vector<Concrete*> lanes;
-  lanes.reserve(dl1s.size());
-  for (core::Dl1System* d : dl1s) {
-    lanes.push_back(static_cast<Concrete*>(d));
-  }
-  return replay_batch(trace, lanes);
-}
-
-// Fault-injecting configurations replay through the virtual interface: the
-// FaultyDl1System decorator is organization-agnostic, and the virtual loop
-// is InOrderCore::run's exact semantics (always the full load/store entry
-// — test_fastpath holds that equal to the specialized loop). Fault
-// campaigns trade the devirtualized hot path for the ECC read path; the
-// fault-free grid keeps its specialized loops untouched.
-sim::RunStats faulted_fast_run(const DecodedTrace& trace,
-                               core::Dl1System& dl1) {
-  sim::CoreStats core;
-  sim::Cycle now = 0;
-  for (const DecodedOp& op : trace.ops) {
-    switch (op.kind) {
-      case OpKind::kExec: {
-        now += op.count;
-        core.instructions += op.count;
-        core.exec_cycles += op.count;
-        break;
-      }
-      case OpKind::kLoad: {
-        core.instructions += 1;
-        core.mem_instructions += 1;
-        const sim::Cycle issue_done = now + 1;
-        const sim::Cycle data = dl1.load(op.addr, op.size, now);
-        const sim::Cycle done = std::max(issue_done, data);
-        core.read_stall_cycles += done - issue_done;
-        core.exec_cycles += 1;
-        now = done;
-        break;
-      }
-      case OpKind::kStore: {
-        core.instructions += 1;
-        core.mem_instructions += 1;
-        const sim::Cycle issue_done = now + 1;
-        const sim::Cycle accepted = dl1.store(op.addr, op.size, now);
-        const sim::Cycle done = std::max(issue_done, accepted);
-        core.write_stall_cycles += done - issue_done;
-        core.exec_cycles += 1;
-        now = done;
-        break;
-      }
-      case OpKind::kPrefetch: {
-        core.instructions += 1;
-        dl1.prefetch(op.addr, now);
-        core.exec_cycles += 1;
-        now += 1;
-        break;
-      }
-    }
-  }
-  core.total_cycles = now;
-  sim::RunStats out;
-  out.core = core;
-  out.mem = dl1.stats();
-  ::sttsim::core::finalize_wear(out.mem, dl1.array());
-  return out;
-}
-
-// Batched faulted lanes replay independently (per-lane injector state makes
-// op-major interleaving pointless); results are bit-identical to solo runs
-// by construction — it is the same loop.
-template <class TraceT>
-std::vector<sim::RunStats> faulted_batch_run(
-    const TraceT& trace, const std::vector<core::Dl1System*>& dl1s) {
-  const DecodedTrace* decoded = nullptr;
-  DecodedTrace storage;
-  if constexpr (std::is_same_v<TraceT, DecodedTrace>) {
-    decoded = &trace;
-  } else {
-    storage = decompress(trace);
-    decoded = &storage;
-  }
-  std::vector<sim::RunStats> out;
-  out.reserve(dl1s.size());
-  for (core::Dl1System* d : dl1s) {
-    out.push_back(faulted_fast_run(*decoded, *d));
-  }
-  return out;
-}
-
-}  // namespace
 
 const char* to_string(Dl1Organization org) {
   switch (org) {
@@ -133,26 +25,6 @@ const char* to_string(Dl1Organization org) {
       return "nvm-writebuf";
   }
   return "?";
-}
-
-Dl1ConcreteClass concrete_class(const SystemConfig& config) {
-  // Mirrors the dispatch in System::build (which pins the pairing; the
-  // batch grid layer uses this to group configurations without building).
-  switch (config.organization) {
-    case Dl1Organization::kSramBaseline:
-    case Dl1Organization::kNvmDropIn:
-      return Dl1ConcreteClass::kPlain;
-    case Dl1Organization::kNvmVwb:
-      return config.vwb_geometry().sector_bytes ==
-                     config.dl1_config().geometry.line_bytes
-                 ? Dl1ConcreteClass::kVwb
-                 : Dl1ConcreteClass::kNarrowFront;
-    case Dl1Organization::kNvmL0:
-    case Dl1Organization::kNvmEmshr:
-    case Dl1Organization::kNvmWriteBuf:
-      return Dl1ConcreteClass::kNarrowFront;
-  }
-  return Dl1ConcreteClass::kNarrowFront;
 }
 
 const tech::TechnologyParams& SystemConfig::dl1_tech() const {
@@ -231,21 +103,20 @@ System::System(const SystemConfig& config, Prevalidated) : cfg_(config) {
 void System::build() {
   l2_ = std::make_unique<mem::L2System>(cfg_.l2);
   const core::Dl1Config dl1 = cfg_.dl1_config();
-  // Pins the (dl1_, replay specialization) pairing for the solo fast path
-  // and both batched trace forms.
-  const auto select = [this]<class Concrete>() {
-    fast_run_ = &fast_run_impl<Concrete>;
-    batch_run_ = &batch_run_impl<Concrete, DecodedTrace>;
-    batch_run_compressed_ = &batch_run_impl<Concrete, CompressedTrace>;
+  // The one place the concrete class is chosen: dl1_ owns it, concrete_
+  // remembers its type for run().
+  const auto install = [this]<class Concrete, class Config>(
+                           const Config& config) {
+    auto d = std::make_unique<Concrete>(to_string(cfg_.organization), config,
+                                        l2_.get());
+    concrete_ = d.get();
+    dl1_ = std::move(d);
   };
   switch (cfg_.organization) {
     case Dl1Organization::kSramBaseline:
-    case Dl1Organization::kNvmDropIn: {
-      dl1_ = std::make_unique<core::PlainDl1System>(
-          to_string(cfg_.organization), dl1, l2_.get());
-      select.operator()<core::PlainDl1System>();
+    case Dl1Organization::kNvmDropIn:
+      install.operator()<core::PlainDl1System>(dl1);
       break;
-    }
     case Dl1Organization::kNvmVwb: {
       core::VwbDl1Config v;
       v.dl1 = dl1;
@@ -260,81 +131,41 @@ void System::build() {
         n.entry_bytes = v.vwb.line_bytes;
         n.policy = alt::FrontAllocPolicy::kOnLoadMiss;
         n.mshr_entries = cfg_.mshr_entries;
-        dl1_ = std::make_unique<alt::NarrowFrontDl1System>(
-            to_string(cfg_.organization), n, l2_.get());
-        select.operator()<alt::NarrowFrontDl1System>();
+        install.operator()<alt::NarrowFrontDl1System>(n);
       } else {
-        dl1_ = std::make_unique<core::VwbDl1System>(
-            to_string(cfg_.organization), v, l2_.get());
-        select.operator()<core::VwbDl1System>();
+        install.operator()<core::VwbDl1System>(v);
       }
       break;
     }
-    case Dl1Organization::kNvmL0: {
-      dl1_ = std::make_unique<alt::NarrowFrontDl1System>(
-          to_string(cfg_.organization), alt::make_l0_config(dl1), l2_.get());
-      select.operator()<alt::NarrowFrontDl1System>();
+    case Dl1Organization::kNvmL0:
+      install.operator()<alt::NarrowFrontDl1System>(alt::make_l0_config(dl1));
       break;
-    }
-    case Dl1Organization::kNvmEmshr: {
-      dl1_ = std::make_unique<alt::NarrowFrontDl1System>(
-          to_string(cfg_.organization), alt::make_emshr_config(dl1),
-          l2_.get());
-      select.operator()<alt::NarrowFrontDl1System>();
+    case Dl1Organization::kNvmEmshr:
+      install.operator()<alt::NarrowFrontDl1System>(
+          alt::make_emshr_config(dl1));
       break;
-    }
-    case Dl1Organization::kNvmWriteBuf: {
-      dl1_ = std::make_unique<alt::NarrowFrontDl1System>(
-          to_string(cfg_.organization), alt::make_write_buffer_config(dl1),
-          l2_.get());
-      select.operator()<alt::NarrowFrontDl1System>();
+    case Dl1Organization::kNvmWriteBuf:
+      install.operator()<alt::NarrowFrontDl1System>(
+          alt::make_write_buffer_config(dl1));
       break;
-    }
   }
   if (cfg_.faults_active()) {
-    // Decorate the organization with the ECC read path and swap in the
-    // virtual-dispatch loops (the specialized loops assume the concrete
-    // class). cfg_.faults_active() is the single switch every layer keys
-    // off, so a faulted lane can never share a batch with a clean one:
-    // their batch_run_ pointers differ.
-    dl1_ = std::make_unique<reliability::FaultyDl1System>(
+    // Decorate the organization with the ECC read path. The decorator is
+    // itself `final`, so its replay is specialized too; only its calls into
+    // the wrapped organization are virtual.
+    auto faulty = std::make_unique<reliability::FaultyDl1System>(
         std::move(dl1_), cfg_.faults, cfg_.ecc, dl1.geometry.line_bytes);
-    fast_run_ = &faulted_fast_run;
-    batch_run_ = &faulted_batch_run<DecodedTrace>;
-    batch_run_compressed_ = &faulted_batch_run<CompressedTrace>;
-  }
-  STTSIM_CHECK(fast_run_ != nullptr);
-}
-
-template <class TraceT>
-std::vector<sim::RunStats> System::run_batch_impl(
-    const TraceT& trace, const std::vector<System*>& lanes) {
-  STTSIM_CHECK(!lanes.empty());
-  std::vector<core::Dl1System*> dl1s;
-  dl1s.reserve(lanes.size());
-  for (System* s : lanes) {
-    STTSIM_CHECK(s != nullptr);
-    // Equal batch pointers <=> same concrete class <=> one specialization
-    // serves every lane.
-    STTSIM_CHECK(s->batch_run_ == lanes.front()->batch_run_);
-    s->reset();
-    dl1s.push_back(s->dl1_.get());
-  }
-  if constexpr (std::is_same_v<TraceT, DecodedTrace>) {
-    return lanes.front()->batch_run_(trace, dl1s);
-  } else {
-    return lanes.front()->batch_run_compressed_(trace, dl1s);
+    concrete_ = faulty.get();
+    dl1_ = std::move(faulty);
   }
 }
 
-std::vector<sim::RunStats> System::run_batch(const DecodedTrace& trace,
-                                             const std::vector<System*>& lanes) {
-  return run_batch_impl(trace, lanes);
-}
-
-std::vector<sim::RunStats> System::run_batch(const CompressedTrace& trace,
-                                             const std::vector<System*>& lanes) {
-  return run_batch_impl(trace, lanes);
+template <class Observe>
+sim::RunStats System::replay_with(const DecodedTrace& trace,
+                                  Observe observe) {
+  return std::visit(
+      [&](auto* concrete) { return replay(trace, *concrete, observe); },
+      concrete_);
 }
 
 sim::RunStats System::run(const Trace& trace) {
@@ -347,17 +178,21 @@ sim::RunStats System::run(const DecodedTrace& trace) {
   return run_warm(trace);
 }
 
+sim::RunStats System::run(const DecodedTrace& trace,
+                          const OpObserver& observer) {
+  reset();
+  return replay_with(trace, [&observer](std::size_t index, sim::Cycle issue,
+                                        sim::Cycle complete) {
+    observer(OpEvent{index, issue, complete});
+  });
+}
+
 sim::RunStats System::run_warm(const Trace& trace) {
-  return fast_run_(decode(trace), *dl1_);
+  return run_warm(decode(trace));
 }
 
 sim::RunStats System::run_warm(const DecodedTrace& trace) {
-  return fast_run_(trace, *dl1_);
-}
-
-sim::RunStats System::run_reference(const Trace& trace) {
-  reset();
-  return core_.run(trace, *dl1_);
+  return replay_with(trace, NoObserve{});
 }
 
 void System::reset() {

@@ -351,10 +351,11 @@ class RequestScheduler {
               run_task(*lifecycle, i, [&](const CancellationToken& token) {
                 slot.value.emplace(fn(i, token));
               });
-          {
-            std::lock_guard<std::mutex> lock(lifecycle->mu);
-            lifecycle->bodies_done += 1;
-          }
+          // Notify under the lock: once run() sees the last count it may
+          // destroy the lifecycle, so no body may touch `cv` after
+          // releasing `mu`.
+          std::lock_guard<std::mutex> lock(lifecycle->mu);
+          lifecycle->bodies_done += 1;
           lifecycle->cv.notify_all();
         });
         futures.push_back(pool_.submit([this] {

@@ -1,9 +1,9 @@
 // Process-wide throughput counters for the experiment engine: how many
 // simulations ran, how many trace operations they replayed, how many traces
 // were generated (vs served from the trace store), and how long each cold
-// phase — generate / decode / replay — took. The perf_smoke bench snapshots
-// these around each figure to derive simulations/sec, trace-ops/sec and the
-// per-phase timing breakdown for BENCH_perf.json.
+// phase — generate / decode / replay — took. Snapshot differences around a
+// campaign give simulations/sec, trace-ops/sec and a per-phase breakdown
+// (the campaign benchmark, campaignbench/, reports them).
 #pragma once
 
 #include <atomic>
@@ -27,8 +27,7 @@ struct TelemetrySnapshot {
   std::uint64_t generate_ns = 0;      ///< wall ns synthesizing traces
   std::uint64_t decode_ns = 0;        ///< wall ns deserializing/decompressing
                                       ///< stored traces (warm path)
-  std::uint64_t replay_ns = 0;        ///< wall ns inside System::run /
-                                      ///< run_batch replay
+  std::uint64_t replay_ns = 0;        ///< wall ns inside System::run
 
   TelemetrySnapshot operator-(const TelemetrySnapshot& rhs) const {
     return {simulations - rhs.simulations, trace_ops - rhs.trace_ops,

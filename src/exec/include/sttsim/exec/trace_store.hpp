@@ -1,8 +1,8 @@
 // Persistent, digest-keyed compressed-trace store: the cold-path
 // memoization layer behind `--trace-store=PATH`.
 //
-// Generating a kernel's memory trace dominates the cold campaign now that
-// replay is batched: the trace is a pure function of (kernel, codegen
+// Generating a kernel's memory trace is the largest layer of a cold
+// campaign: the trace is a pure function of (kernel, codegen
 // options, trace format version), so a second campaign — or the same
 // campaign re-run after an unrelated config edit — regenerates bytes it
 // already produced. This store persists each kernel's *compressed* trace

@@ -5,7 +5,6 @@
 #include <limits>
 #include <tuple>
 
-#include "sttsim/cpu/batch_replay.hpp"
 #include "sttsim/cpu/decoded_trace.hpp"
 #include "sttsim/cpu/trace_io.hpp"
 #include "sttsim/exec/parallel_executor.hpp"
@@ -153,7 +152,7 @@ double penalty_pct(const sim::RunStats& variant,
                    const sim::RunStats& baseline) {
   // A timed-out or cancelled grid point degrades to all-zero counters
   // (skip-and-report); its derived metric is "no data", not an invariant
-  // violation. NaN prints as nan and perf_compare ignores it.
+  // violation. NaN prints as nan.
   if (baseline.core.total_cycles == 0 || variant.core.total_cycles == 0) {
     return std::numeric_limits<double>::quiet_NaN();
   }
@@ -177,7 +176,7 @@ bool TraceCache::KeyLess::less(const KeyView& a, const KeyView& b) {
   return codegen_tuple(*a.opts) < codegen_tuple(*b.opts);
 }
 
-const CachedWorkload& TraceCache::get_workload(
+const cpu::DecodedTrace& TraceCache::get_decoded(
     const workloads::Kernel& kernel, const workloads::CodegenOptions& opts) {
   const KeyView lookup{kernel.name, &opts};
   return cache_.get_or_generate(
@@ -185,23 +184,22 @@ const CachedWorkload& TraceCache::get_workload(
       [&] {
         exec::Telemetry& telemetry = exec::Telemetry::instance();
         exec::TraceStore* tstore = exec::trace_store();
-        CachedWorkload w;
         if (tstore != nullptr) {
           // Warm path: decode the stored compressed blob — no generation.
           const std::uint64_t digest = trace_digest(kernel.name, opts);
           std::vector<std::uint8_t> blob;
           if (tstore->lookup(digest, blob)) {
             const std::uint64_t t0 = now_ns();
+            cpu::CompressedTrace stored;
             if (cpu::deserialize_compressed(blob.data(), blob.size(),
-                                            w.compressed)) {
-              w.decoded = cpu::decompress(w.compressed);
+                                            stored)) {
+              cpu::DecodedTrace decoded = cpu::decompress(stored);
               telemetry.count_decode_ns(now_ns() - t0);
               telemetry.count_trace_store_hit();
-              return w;
+              return decoded;
             }
             // Malformed blob (should be unreachable behind the store's
             // checksum): fall through and regenerate.
-            w.compressed = cpu::CompressedTrace{};
           }
           telemetry.count_trace_store_miss();
         }
@@ -209,18 +207,17 @@ const CachedWorkload& TraceCache::get_workload(
         const std::uint64_t t0 = now_ns();
         // Direct-to-decoded synthesis; hand-rolled Kernel objects (tests)
         // may only provide the raw generator — decode then.
-        w.decoded = kernel.generate_decoded
-                        ? kernel.generate_decoded(opts)
-                        : cpu::decode(kernel.generate(opts));
-        w.compressed = cpu::compress(w.decoded);
+        cpu::DecodedTrace decoded = kernel.generate_decoded
+                                        ? kernel.generate_decoded(opts)
+                                        : cpu::decode(kernel.generate(opts));
         telemetry.count_generate_ns(now_ns() - t0);
         if (tstore != nullptr) {
           const std::vector<std::uint8_t> blob =
-              cpu::serialize_compressed(w.compressed);
+              cpu::serialize_compressed(cpu::compress(decoded));
           tstore->append(trace_digest(kernel.name, opts), blob.data(),
                          blob.size());
         }
-        return w;
+        return decoded;
       });
 }
 
@@ -229,7 +226,7 @@ const cpu::Trace& TraceCache::get(const workloads::Kernel& kernel,
   const KeyView lookup{kernel.name, &opts};
   return raw_cache_.get_or_generate(
       lookup, [&] { return Key{kernel.name, opts}; },
-      [&] { return cpu::reassemble(get_workload(kernel, opts).decoded); });
+      [&] { return cpu::reassemble(get_decoded(kernel, opts)); });
 }
 
 sim::RunStats run_kernel(TraceCache& cache, const workloads::Kernel& kernel,
@@ -246,12 +243,12 @@ sim::RunStats run_kernel(TraceCache& cache, const workloads::Kernel& kernel,
     }
     exec::Telemetry::instance().count_memo_miss();
   }
-  const CachedWorkload& workload = cache.get_workload(kernel, opts);
+  const cpu::DecodedTrace& trace = cache.get_decoded(kernel, opts);
   cpu::System system(config);
   const std::uint64_t t0 = now_ns();
-  const sim::RunStats stats = system.run(workload.decoded);
+  const sim::RunStats stats = system.run(trace);
   exec::Telemetry::instance().count_replay_ns(now_ns() - t0);
-  exec::Telemetry::instance().count_simulation(workload.decoded.size());
+  exec::Telemetry::instance().count_simulation(trace.size());
   if (store != nullptr) {
     std::uint8_t payload[sim::kRunStatsBytes];
     sim::encode_run_stats(stats, payload);
@@ -278,14 +275,14 @@ void store_append(exec::ResultStore* store, std::uint64_t digest,
   store->append(digest, payload);
 }
 
-/// Post-request policy shared by the solo and batched paths. Task-level
-/// outcomes degrade gracefully: timed-out and cancelled points are
-/// skipped-and-reported (their result slots keep default RunStats; the
-/// telemetry counters and the grid summary carry the tally). Real failures
-/// keep the historical abort semantics — the lowest-index failed task's
-/// exception is rethrown after every task has drained — and an interrupt
-/// (SIGINT) surfaces as TaskError{kCancelled} once in-flight tasks have
-/// finished and appended their records, so a re-run resumes from the store.
+/// Post-request policy. Task-level outcomes degrade gracefully: timed-out
+/// and cancelled points are skipped-and-reported (their result slots keep
+/// default RunStats; the telemetry counters and the grid summary carry the
+/// tally). Real failures keep the historical abort semantics — the
+/// lowest-index failed task's exception is rethrown after every task has
+/// drained — and an interrupt (SIGINT) surfaces as TaskError{kCancelled}
+/// once in-flight tasks have finished and appended their records, so a
+/// re-run resumes from the store.
 template <typename T>
 void finish_request(const exec::RequestResult<T>& result) {
   for (const exec::TaskResult<T>& t : result.tasks) {
@@ -301,17 +298,15 @@ void finish_request(const exec::RequestResult<T>& result) {
   }
 }
 
-/// Runs `points` as one scheduler task each (the unbatched PR 5 replay
-/// path, in the given order — j-major for a full grid, matching the
-/// historical serial loops) and scatters results into out[j][k]. Completed
-/// misses append to the store from inside their task, so an interrupted
-/// campaign keeps every point it finished.
-void run_points_solo(TraceCache& cache,
-                     const std::vector<workloads::Kernel>& kernels,
-                     const std::vector<SuiteJob>& jobs,
-                     const std::vector<GridPoint>& points,
-                     exec::ResultStore* store,
-                     std::vector<std::vector<sim::RunStats>>& out) {
+/// Runs `points` as one scheduler task each (in the given order — j-major
+/// for a full grid, matching the historical serial loops) and scatters
+/// results into out[j][k]. Completed misses append to the store from inside
+/// their task, so an interrupted campaign keeps every point it finished.
+void run_points(TraceCache& cache,
+                const std::vector<workloads::Kernel>& kernels,
+                const std::vector<SuiteJob>& jobs,
+                const std::vector<GridPoint>& points, exec::ResultStore* store,
+                std::vector<std::vector<sim::RunStats>>& out) {
   exec::RequestScheduler scheduler;
   const auto result = scheduler.run(
       exec::default_request(), points.size(),
@@ -331,93 +326,6 @@ void run_points_solo(TraceCache& cache,
   for (std::size_t i = 0; i < points.size(); ++i) {
     if (result.tasks[i].value) {
       out[points[i].j][points[i].k] = *result.tasks[i].value;
-    }
-  }
-  finish_request(result);
-}
-
-/// The batched grid schedule: `points` grouped by (kernel x codegen) — all
-/// lanes of one pass must replay the identical trace — then split into
-/// same-organization-class lane sets of at most `batch` configurations
-/// (cpu::partition_batches). Each task replays one lane set in a single
-/// compressed-trace pass and scatters per-lane results back to the
-/// deterministic out[j][k] positions; per-lane results are bit-identical
-/// to the solo path regardless of how points are partitioned, so a store-
-/// thinned (miss-only) point set changes the schedule, never the numbers.
-void run_points_batched(TraceCache& cache,
-                        const std::vector<workloads::Kernel>& kernels,
-                        const std::vector<SuiteJob>& jobs,
-                        const std::vector<GridPoint>& points, unsigned batch,
-                        exec::ResultStore* store,
-                        std::vector<std::vector<sim::RunStats>>& out) {
-  // Codegen group of every job (first-appearance order).
-  std::vector<const workloads::CodegenOptions*> group_opts;
-  std::vector<std::size_t> job_group(jobs.size());
-  for (std::size_t j = 0; j < jobs.size(); ++j) {
-    std::size_t g = 0;
-    while (g < group_opts.size() &&
-           codegen_tuple(*group_opts[g]) != codegen_tuple(jobs[j].opts)) {
-      ++g;
-    }
-    if (g == group_opts.size()) group_opts.push_back(&jobs[j].opts);
-    job_group[j] = g;
-  }
-
-  // Bucket point indices by (kernel, codegen group), preserving order.
-  const std::size_t n_groups = group_opts.size();
-  std::vector<std::vector<std::size_t>> buckets(kernels.size() * n_groups);
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    buckets[points[i].k * n_groups + job_group[points[i].j]].push_back(i);
-  }
-
-  // Split every bucket into same-class lane sets of at most `batch` lanes.
-  std::vector<std::vector<std::size_t>> tasks;  // indices into `points`
-  for (const std::vector<std::size_t>& bucket : buckets) {
-    if (bucket.empty()) continue;
-    std::vector<cpu::SystemConfig> configs;
-    configs.reserve(bucket.size());
-    for (const std::size_t i : bucket) configs.push_back(jobs[points[i].j].config);
-    for (std::vector<std::size_t>& part :
-         cpu::partition_batches(configs, batch)) {
-      for (std::size_t& local : part) local = bucket[local];
-      tasks.push_back(std::move(part));
-    }
-  }
-
-  exec::RequestScheduler scheduler;
-  const auto result = scheduler.run(
-      exec::default_request(), tasks.size(),
-      [&](std::size_t t, const exec::CancellationToken&) {
-        const std::vector<std::size_t>& task = tasks[t];
-        const GridPoint& first = points[task.front()];
-        const CachedWorkload& workload =
-            cache.get_workload(kernels[first.k], jobs[first.j].opts);
-        std::vector<cpu::System> systems;
-        systems.reserve(task.size());
-        for (const std::size_t i : task) {
-          systems.emplace_back(jobs[points[i].j].config,
-                               cpu::System::kPrevalidated);
-        }
-        std::vector<cpu::System*> lanes;
-        lanes.reserve(systems.size());
-        for (cpu::System& s : systems) lanes.push_back(&s);
-        const std::uint64_t t0 = now_ns();
-        std::vector<sim::RunStats> stats =
-            cpu::System::run_batch(workload.compressed, lanes);
-        exec::Telemetry::instance().count_replay_ns(now_ns() - t0);
-        for (std::size_t i = 0; i < task.size(); ++i) {
-          exec::Telemetry::instance().count_simulation(workload.decoded.size());
-          store_append(store, points[task[i]].digest, stats[i]);
-        }
-        return stats;
-      });
-
-  for (std::size_t t = 0; t < tasks.size(); ++t) {
-    if (!result.tasks[t].value) continue;
-    const std::vector<sim::RunStats>& stats = *result.tasks[t].value;
-    for (std::size_t i = 0; i < tasks[t].size(); ++i) {
-      const GridPoint& p = points[tasks[t][i]];
-      out[p.j][p.k] = stats[i];
     }
   }
   finish_request(result);
@@ -476,13 +384,7 @@ std::vector<std::vector<sim::RunStats>> run_grid(
     }
   }
 
-  if (!points.empty()) {
-    if (const unsigned batch = exec::default_batch(); batch > 1) {
-      run_points_batched(cache, kernels, jobs, points, batch, store, out);
-    } else {
-      run_points_solo(cache, kernels, jobs, points, store, out);
-    }
-  }
+  if (!points.empty()) run_points(cache, kernels, jobs, points, store, out);
   // Lifecycle tally for this grid (delta over the run). The happy path —
   // no retries, no deadline, nothing cancelled — prints exactly the
   // historical line, byte for byte.

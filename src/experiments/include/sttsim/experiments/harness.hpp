@@ -20,7 +20,7 @@ namespace sttsim::experiments {
 /// the paper's metric ("SRAM D-cache baseline = 100%"): 0% means equal
 /// runtime, 54% means 1.54x the baseline cycles. NaN when either side is a
 /// degraded (timed-out/cancelled, all-zero) grid point — "no data", which
-/// prints as nan and perf_compare ignores.
+/// prints as nan.
 double penalty_pct(const sim::RunStats& variant,
                    const sim::RunStats& baseline);
 
@@ -28,18 +28,6 @@ double penalty_pct(const sim::RunStats& variant,
 /// in percent (Fig. 9's metric). NaN when either side is degraded.
 double gain_pct(const sim::RunStats& unoptimized,
                 const sim::RunStats& optimized);
-
-/// A memoized workload: the replay-optimized decoded form (synthesized
-/// directly by the generator, or decoded from the persistent trace store)
-/// and the delta/RLE-compressed form the batched replay engine streams
-/// (cpu::compress) — each produced once and shared read-only across every
-/// grid point that replays this (kernel, codegen). The raw TraceOp form is
-/// not part of the cold path any more; TraceCache::get() reassembles it on
-/// demand for the few diagnostics that want it.
-struct CachedWorkload {
-  cpu::DecodedTrace decoded;
-  cpu::CompressedTrace compressed;
-};
 
 /// Memoizes generated traces per (kernel, codegen) so multi-figure bench
 /// binaries do not regenerate identical traces — synthesized straight into
@@ -55,24 +43,17 @@ struct CachedWorkload {
 /// benches' --trace-store=PATH flag), a miss probes the store by
 /// trace_digest first — a hit deserializes the stored CompressedTrace and
 /// decompresses it (no generation at all; Telemetry::traces_generated stays
-/// 0 on a warm run) — and a generated trace is appended for the next run.
+/// 0 on a warm run) — and a generated trace is compressed and appended for
+/// the next run. Without a store nothing is ever compressed.
 class TraceCache {
  public:
-  const CachedWorkload& get_workload(const workloads::Kernel& kernel,
-                                     const workloads::CodegenOptions& opts);
+  const cpu::DecodedTrace& get_decoded(const workloads::Kernel& kernel,
+                                       const workloads::CodegenOptions& opts);
   /// Raw TraceOp form, reassembled from the decoded trace on first request
   /// and memoized separately (diagnostics only — lifetime reports, dumps;
   /// the replay paths never call this).
   const cpu::Trace& get(const workloads::Kernel& kernel,
                         const workloads::CodegenOptions& opts);
-  const cpu::DecodedTrace& get_decoded(const workloads::Kernel& kernel,
-                                       const workloads::CodegenOptions& opts) {
-    return get_workload(kernel, opts).decoded;
-  }
-  const cpu::CompressedTrace& get_compressed(
-      const workloads::Kernel& kernel, const workloads::CodegenOptions& opts) {
-    return get_workload(kernel, opts).compressed;
-  }
 
   std::size_t entries() const { return cache_.entries(); }
 
@@ -96,7 +77,7 @@ class TraceCache {
     }
   };
 
-  exec::ConcurrentMemoCache<Key, CachedWorkload, KeyLess> cache_;
+  exec::ConcurrentMemoCache<Key, cpu::DecodedTrace, KeyLess> cache_;
   /// Raw traces live in their own memo so entries() — the generation count
   /// tests observe — keeps counting workloads, not diagnostic reassemblies.
   exec::ConcurrentMemoCache<Key, cpu::Trace, KeyLess> raw_cache_;
@@ -150,23 +131,16 @@ struct SuiteJob {
 /// come back in deterministic input order — result[j][k] is jobs[j] on
 /// kernels[k] — byte-identical to the historical serial loops.
 ///
-/// When exec::default_batch() > 1 (the benches' --batch=K flag), grid
-/// points are grouped by (kernel x codegen x organization-class) and each
-/// pool task replays one compressed-trace pass over up to K same-class
-/// configurations at once (cpu::System::run_batch). The batched engine's
-/// per-lane call sequence is identical to the solo replay, so results stay
-/// byte-identical to --batch=1 — only the schedule changes.
-///
 /// When a persistent result store is active (exec::set_result_store; the
 /// benches' --store=PATH flag), every point's digest is probed up front:
 /// hits are filled into the deterministic result positions immediately
 /// (bypassing trace generation and simulation; counted as memo_hits) and
-/// only the misses are partitioned into pool tasks (counted as
+/// only the misses become pool tasks (counted as
 /// memo_misses), so a mostly-warm grid spends no pool time on already-known
 /// results and a one-parameter edit recomputes only the dirty slice. Each
 /// miss appends its record as its task completes. Warm results decode to
 /// bit-identical RunStats, so figure outputs are byte-identical cold vs
-/// warm at any --jobs/--batch combination. The store is refreshed before
+/// warm at any --jobs. The store is refreshed before
 /// probing, so records appended by concurrent processes sharing the file
 /// count as hits too.
 ///

@@ -28,9 +28,9 @@
 // Faults are evaluated on loads only (the ECC engine sits on the read
 // path; writes re-encode check bits as a side effect of the write itself)
 // and are keyed by the access stream rather than by probing array
-// residency — a deliberate simplification that keeps the schedule
-// identical across the fast replay loop, the batched lanes, and the
-// oracle's observed path.
+// residency — a deliberate simplification that keeps the schedule a pure
+// function of the stream the replay loop issues, so the oracle reproduces
+// it independently.
 #pragma once
 
 #include <cstdint>

@@ -1,11 +1,9 @@
-// Portable explicit-SIMD lane vector for the replay hot loops.
+// Portable explicit-SIMD tag match for the replay hot loop.
 //
-// The replay engine has two integer-lane patterns the autovectorizer is
-// trusted with today (STTSIM_VEC_LOOP): the set-associative tag-match mask
-// and the op-major batch lanes' clock advance. Both are exact integer
-// operations, so an explicit vector lowering is bit-identical to the scalar
-// loop by construction — the wrapper below just removes the dependence on
-// the compiler's cost model at the two hottest sites.
+// The set-associative tag-match mask is an exact integer operation, so an
+// explicit vector lowering is bit-identical to the scalar loop by
+// construction — the wrapper below just removes the dependence on the
+// compiler's cost model (STTSIM_VEC_LOOP) at that site.
 //
 // Dispatch is compile-time only: AVX2 when the TU is compiled with it,
 // else SSE2 (baseline on every x86-64 target), else NEON, else the same
@@ -33,7 +31,7 @@
 
 namespace sttsim::util::simd {
 
-/// Selected backend, for diagnostics (replay_micro prints it).
+/// Selected backend, for diagnostics (host fingerprints record it).
 inline constexpr const char* kBackend =
 #if defined(STTSIM_SIMD_AVX2)
     "avx2";
@@ -43,16 +41,6 @@ inline constexpr const char* kBackend =
     "neon";
 #else
     "scalar";
-#endif
-
-/// Number of 64-bit lanes one native vector holds (1 = scalar fallback).
-inline constexpr unsigned kLanes64 =
-#if defined(STTSIM_SIMD_AVX2)
-    4;
-#elif defined(STTSIM_SIMD_SSE2) || defined(STTSIM_SIMD_NEON)
-    2;
-#else
-    1;
 #endif
 
 /// Bit i of the result is set iff values[i] == key, for n <= 64 values.
@@ -98,32 +86,6 @@ inline std::uint64_t match_mask_u64(const std::uint64_t* values, unsigned n,
     mask |= static_cast<std::uint64_t>(values[w] == key) << w;
   }
   return mask;
-}
-
-/// values[i] += delta for i in [0, n) — the op-major batch lanes' clock
-/// advance (unsigned 64-bit adds; wrap-around identical to scalar).
-inline void add_u64(std::uint64_t* values, unsigned n, std::uint64_t delta) {
-  unsigned i = 0;
-#if defined(STTSIM_SIMD_AVX2)
-  const __m256i d4 = _mm256_set1_epi64x(static_cast<long long>(delta));
-  for (; i + 4 <= n; i += 4) {
-    __m256i* p = reinterpret_cast<__m256i*>(values + i);
-    _mm256_storeu_si256(p, _mm256_add_epi64(_mm256_loadu_si256(p), d4));
-  }
-#elif defined(STTSIM_SIMD_SSE2)
-  const __m128i d2 = _mm_set1_epi64x(static_cast<long long>(delta));
-  for (; i + 2 <= n; i += 2) {
-    __m128i* p = reinterpret_cast<__m128i*>(values + i);
-    _mm_storeu_si128(p, _mm_add_epi64(_mm_loadu_si128(p), d2));
-  }
-#elif defined(STTSIM_SIMD_NEON)
-  const uint64x2_t d2 = vdupq_n_u64(delta);
-  for (; i + 2 <= n; i += 2) {
-    vst1q_u64(values + i, vaddq_u64(vld1q_u64(values + i), d2));
-  }
-#endif
-  STTSIM_VEC_LOOP
-  for (; i < n; ++i) values[i] += delta;
 }
 
 }  // namespace sttsim::util::simd

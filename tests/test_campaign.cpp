@@ -78,7 +78,6 @@ class CampaignTest : public ::testing::Test {
     exec::set_default_request(exec::CampaignRequest{});
     exec::set_result_store(nullptr);
     exec::set_default_jobs(0);
-    exec::set_default_batch(1);
   }
 };
 
@@ -208,8 +207,12 @@ TEST_F(CampaignTest, DeterministicFaultAbortsTheGrid) {
 // first point completes; the campaign drains, throws kCancelled, and keeps
 // the completed point persisted. The re-run serves it from the store
 // (memo_hits == completed-before-interrupt) and generates traces only for
-// the kernels that were still missing.
+// the kernels that were still missing. Pinned to one worker: with more, the
+// second point is already running when the hook fires, and cooperative
+// cancellation rightly lets it finish and persist (the multi-worker variant
+// below asserts that invariant instead).
 TEST_F(CampaignTest, InterruptedCampaignResumesOnlyMissingPoints) {
+  exec::set_default_jobs(1);
   const auto kernels = experiments::select_kernels({"atax", "mvt"});
   const std::vector<experiments::SuiteJob> jobs = {small_grid().front()};
   const std::string path = temp_store_path("resume");
@@ -253,6 +256,59 @@ TEST_F(CampaignTest, InterruptedCampaignResumesOnlyMissingPoints) {
         << "only the missing kernel's trace regenerates";
     EXPECT_EQ(resumed, reference);
     EXPECT_EQ(store.get().entries(), 2u);
+  }
+  std::remove(path.c_str());
+}
+
+// The same interrupt on a full pool. Every worker may be mid-point when the
+// hook fires, and each of those points finishes and persists, so the
+// persisted count P is only bounded: at least the point that tripped the
+// hook, and short of the whole grid, because the grid holds more than twice
+// the pool width. The resume must then serve exactly P points from disk,
+// simulate exactly grid - P, and reproduce the uninterrupted bytes.
+TEST_F(CampaignTest, InterruptedCampaignOnFullPoolResumesOnlyMissingPoints) {
+  constexpr unsigned kWorkers = 4;
+  exec::set_default_jobs(kWorkers);
+  const auto kernels =
+      experiments::select_kernels({"atax", "mvt", "gesummv", "trisolv"});
+  const auto jobs = small_grid();
+  const std::size_t grid = jobs.size() * kernels.size();
+  ASSERT_GT(grid, 2u * kWorkers);
+  const std::string path = temp_store_path("resume_pool");
+  std::remove(path.c_str());
+
+  experiments::TraceCache ref_cache;
+  const std::string reference =
+      grid_fingerprint(experiments::run_grid(ref_cache, kernels, jobs));
+
+  std::size_t persisted = 0;
+  {
+    ScopedStore store(path);
+    exec::TaskFaults faults;
+    faults.interrupt_after_tasks = 1;
+    exec::set_task_faults(faults);
+    experiments::TraceCache cache;
+    EXPECT_THROW(experiments::run_grid(cache, kernels, jobs), exec::TaskError);
+    persisted = store.get().entries();
+  }
+  EXPECT_GE(persisted, 1u);
+  EXPECT_LT(persisted, grid);
+
+  exec::set_task_faults(std::nullopt);
+  exec::interrupt_source().reset();
+  {
+    ScopedStore store(path);
+    auto& telemetry = exec::Telemetry::instance();
+    const exec::TelemetrySnapshot before = telemetry.snapshot();
+    experiments::TraceCache cache;
+    const std::string resumed =
+        grid_fingerprint(experiments::run_grid(cache, kernels, jobs));
+    const exec::TelemetrySnapshot delta = telemetry.snapshot() - before;
+    EXPECT_EQ(delta.memo_hits, persisted);
+    EXPECT_EQ(delta.memo_misses, grid - persisted);
+    EXPECT_EQ(delta.simulations, grid - persisted);
+    EXPECT_EQ(resumed, reference);
+    EXPECT_EQ(store.get().entries(), grid);
   }
   std::remove(path.c_str());
 }
@@ -377,8 +433,7 @@ TEST_F(CampaignTest, DisjointTwoProcessCampaignsBothStayWarm) {
 }
 
 // The scheduler plumbing must not perturb the happy path: a grid with
-// default request settings equals the reference at several pool widths and
-// on the batched path.
+// default request settings equals the reference at several pool widths.
 TEST_F(CampaignTest, DefaultLifecycleIsInvisibleAtAnyWidth) {
   const auto kernels = experiments::select_kernels({"atax"});
   const auto jobs = small_grid();
@@ -392,12 +447,6 @@ TEST_F(CampaignTest, DefaultLifecycleIsInvisibleAtAnyWidth) {
               reference)
         << "lifecycle changed results at --jobs=" << width;
   }
-  exec::set_default_jobs(0);
-  exec::set_default_batch(4);
-  experiments::TraceCache cache;
-  EXPECT_EQ(grid_fingerprint(experiments::run_grid(cache, kernels, jobs)),
-            reference)
-      << "lifecycle changed results on the batched path";
 }
 
 }  // namespace

@@ -59,28 +59,23 @@ TEST_P(DifferentialCampaign, SimulatorMatchesOracleOnRandomTraces) {
   }
 }
 
-TEST(BatchDifferentialCampaign, BatchedReplayMatchesOracleOnRandomTraces) {
-  // The batched engine's closure: every organization rides in one config
-  // list (clock-varied so lanes genuinely differ), the batched stack —
-  // compression, class partitioning, one pass per partition — runs it, and
-  // each lane's end state must match an independent oracle replay. Seeds
-  // are scaled down vs the per-op campaign: each probe covers 12 lanes.
-  std::vector<cpu::SystemConfig> configs;
-  for (const Dl1Organization org : kAllOrgs) {
-    for (unsigned rep = 0; rep < 2; ++rep) {
-      cpu::SystemConfig cfg;
-      cfg.organization = org;
-      cfg.clock_ghz = 1.0 + 0.4 * rep;
-      configs.push_back(cfg);
-    }
-  }
+TEST_P(DifferentialCampaign, SimulatorMatchesOracleAtVariedClocks) {
+  // Off the 1 GHz default the Table I latencies quantize to different cycle
+  // counts, so banks, buffers and the core see different timing. Seeds are
+  // scaled down: the 1 GHz campaign above carries the volume.
   const std::uint64_t seeds = std::max<std::uint64_t>(1, campaign_seeds() / 8);
-  for (const Addr region : {4 * kKiB, 96 * kKiB, 512 * kKiB}) {
-    for (std::uint64_t seed = 1; seed <= seeds; ++seed) {
-      const cpu::Trace trace = random_trace(seed, 600, region);
-      const check::Divergence div = check::run_batch_differential(configs, trace);
-      ASSERT_FALSE(div.diverged) << "region " << region << " seed " << seed
-                                 << ": " << div.detail;
+  for (const double clock_ghz : {1.4, 2.0}) {
+    cpu::SystemConfig cfg;
+    cfg.organization = GetParam();
+    cfg.clock_ghz = clock_ghz;
+    for (const Addr region : {4 * kKiB, 96 * kKiB, 512 * kKiB}) {
+      for (std::uint64_t seed = 1; seed <= seeds; ++seed) {
+        const check::Divergence div =
+            check::run_differential(cfg, random_trace(seed, 600, region));
+        ASSERT_FALSE(div.diverged)
+            << cpu::to_string(GetParam()) << " @" << clock_ghz << " GHz region "
+            << region << " seed " << seed << ": " << div.detail;
+      }
     }
   }
 }
@@ -135,6 +130,20 @@ TEST_P(FaultedDifferentialCampaign, OraclePredictsEccCorrectedOutcomes) {
   }
 }
 
+TEST_P(FaultedDifferentialCampaign, OraclePredictsEccOutcomesAtVariedClock) {
+  // One fixed fault schedule at a non-default clock: the retention windows
+  // are counted in cycles, so the same schedule lands on different ops.
+  const std::uint64_t seeds = std::max<std::uint64_t>(1, campaign_seeds() / 8);
+  cpu::SystemConfig cfg = faulted_campaign_config(GetParam(), /*fault_seed=*/11);
+  cfg.clock_ghz = 1.4;
+  for (std::uint64_t seed = 1; seed <= seeds; ++seed) {
+    const check::Divergence div =
+        check::run_differential(cfg, random_trace(seed, 600, 96 * kKiB));
+    ASSERT_FALSE(div.diverged) << cpu::to_string(GetParam()) << " seed "
+                               << seed << ": " << div.detail;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(AllOrgs, FaultedDifferentialCampaign,
                          ::testing::ValuesIn(kAllOrgs),
                          [](const auto& param_info) {
@@ -144,25 +153,6 @@ INSTANTIATE_TEST_SUITE_P(AllOrgs, FaultedDifferentialCampaign,
                            }
                            return n;
                          });
-
-TEST(BatchDifferentialCampaign, FaultedLanesMatchOracleInBatchedReplay) {
-  // Faulted and clean lanes of every organization ride one config list:
-  // the partitioner must keep them apart and each faulted lane's end state
-  // must match its oracle.
-  std::vector<cpu::SystemConfig> configs;
-  for (const Dl1Organization org : kAllOrgs) {
-    cpu::SystemConfig clean;
-    clean.organization = org;
-    configs.push_back(clean);
-    configs.push_back(faulted_campaign_config(org, 11));
-  }
-  const std::uint64_t seeds = std::max<std::uint64_t>(1, campaign_seeds() / 16);
-  for (std::uint64_t seed = 1; seed <= seeds; ++seed) {
-    const cpu::Trace trace = random_trace(seed, 600, 96 * kKiB);
-    const check::Divergence div = check::run_batch_differential(configs, trace);
-    ASSERT_FALSE(div.diverged) << "seed " << seed << ": " << div.detail;
-  }
-}
 
 /// Adversarial trace for inclusion bugs: addresses confined to two L1 sets
 /// with four conflicting way-stride lines each (64 KiB 2-way DL1 → 32 KiB
@@ -203,28 +193,22 @@ cpu::Trace find_diverging_trace(const cpu::SystemConfig& cfg,
   return {};
 }
 
-TEST(BatchDifferentialCampaign, FlagsInjectedFaultWithLane) {
-  // Checker sensitivity: a faulty oracle must be reported, and the lane
-  // index must point at a configuration of the affected organization.
-  std::vector<cpu::SystemConfig> configs;
-  for (const Dl1Organization org : kAllOrgs) {
-    cpu::SystemConfig cfg;
-    cfg.organization = org;
-    configs.push_back(cfg);
-  }
+TEST_P(DifferentialCampaign, FlagsInjectedStaleFrontFault) {
+  // Checker sensitivity per organization: with the stale-buffer fault in
+  // the oracle, every organization with a buffer in front of the DL1 array
+  // must diverge (at a non-default clock, so the timing differs from the
+  // 1 GHz tests); the plain organizations, which have no such buffer, never
+  // do.
   check::OracleFaults faults;
   faults.drop_front_invalidate_on_l1_evict = true;
-  bool caught = false;
-  for (std::uint64_t seed = 1; seed <= 50 && !caught; ++seed) {
-    const check::Divergence div = check::run_batch_differential(
-        configs, conflict_trace(seed, 400), faults);
-    if (div.diverged) {
-      caught = true;
-      EXPECT_LT(div.lane, configs.size());
-      EXPECT_FALSE(div.field.empty());
-    }
-  }
-  EXPECT_TRUE(caught) << "batched differential never exposed the fault";
+  cpu::SystemConfig cfg;
+  cfg.organization = GetParam();
+  cfg.clock_ghz = 1.4;
+  const bool fronted = GetParam() != Dl1Organization::kSramBaseline &&
+                       GetParam() != Dl1Organization::kNvmDropIn;
+  const cpu::Trace trace = find_diverging_trace(
+      cfg, faults, [](std::uint64_t seed) { return conflict_trace(seed, 400); });
+  EXPECT_EQ(!trace.empty(), fronted);
 }
 
 TEST(FaultInjection, DroppedFrontInvalidateIsCaughtAndMinimized) {

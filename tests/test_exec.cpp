@@ -17,6 +17,8 @@
 #include <thread>
 #include <vector>
 
+#include <unistd.h>
+
 #include "sttsim/exec/memo_cache.hpp"
 #include "sttsim/exec/parallel_executor.hpp"
 #include "sttsim/exec/result_store.hpp"
@@ -202,8 +204,10 @@ TEST(Telemetry, MemoCountersAccumulate) {
 // + contended duplicate appends) runs under ThreadSanitizer via the
 // test_exec_tsan target.
 TEST(ResultStoreConcurrency, PoolWorkersAppendAndLookupRaceFree) {
-  const std::string path =
-      ::testing::TempDir() + "sttsim_store_exec_tsan.bin";
+  // test_exec and its TSan twin compile this same file and may run
+  // concurrently under `ctest -j`: the pid keeps their store files apart.
+  const std::string path = ::testing::TempDir() + "sttsim_store_exec_" +
+                           std::to_string(::getpid()) + ".bin";
   std::remove(path.c_str());
   constexpr std::size_t kPayload = 32;
   constexpr std::size_t kPoints = 256;

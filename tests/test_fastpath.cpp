@@ -1,10 +1,15 @@
-// The devirtualized replay fast path (cpu/replay.hpp + decoded traces) must
-// be observationally identical to InOrderCore's generic virtual-dispatch
-// loop: same cycles, same stall breakdown, same memory-hierarchy counters,
-// for every DL1 organization. These tests pin that equivalence on randomized
-// trace campaigns, and pin the decoded-trace representation itself
-// (decode/reassemble round trip, precomputed spans).
+// The replay loop (cpu/replay.hpp) has one source and two instantiations
+// per DL1 class: the fast path (no observer) and the observed run the
+// differential oracle drives. Observing must change nothing — same cycles,
+// same stall breakdown, same memory-hierarchy counters — for every
+// organization and for the fault-injecting decorator. These tests pin that
+// on randomized and kernel traces, and pin the decoded-trace representation
+// itself (decode/reassemble round trip, precomputed spans).
 #include <gtest/gtest.h>
+
+#include <cstring>
+#include <string>
+#include <vector>
 
 #include "sttsim/cpu/decoded_trace.hpp"
 #include "sttsim/cpu/system.hpp"
@@ -21,83 +26,102 @@ const cpu::Dl1Organization kAllOrgs[] = {
     cpu::Dl1Organization::kNvmVwb,       cpu::Dl1Organization::kNvmL0,
     cpu::Dl1Organization::kNvmEmshr,     cpu::Dl1Organization::kNvmWriteBuf};
 
-/// Every RunStats field, compared individually so a divergence names the
-/// counter that broke.
-void expect_identical(const sim::RunStats& fast, const sim::RunStats& ref,
+/// Every RunStats counter, via the result-store codec (which covers all of
+/// them); a mismatch prints both complete counter sets.
+void expect_identical(const sim::RunStats& a, const sim::RunStats& b,
                       const std::string& context) {
-  SCOPED_TRACE(context);
-  // Core.
-  EXPECT_EQ(fast.core.instructions, ref.core.instructions);
-  EXPECT_EQ(fast.core.mem_instructions, ref.core.mem_instructions);
-  EXPECT_EQ(fast.core.exec_cycles, ref.core.exec_cycles);
-  EXPECT_EQ(fast.core.read_stall_cycles, ref.core.read_stall_cycles);
-  EXPECT_EQ(fast.core.write_stall_cycles, ref.core.write_stall_cycles);
-  EXPECT_EQ(fast.core.structural_stall_cycles,
-            ref.core.structural_stall_cycles);
-  EXPECT_EQ(fast.core.total_cycles, ref.core.total_cycles);
-  // Memory hierarchy — all twenty counters.
-  EXPECT_EQ(fast.mem.loads, ref.mem.loads);
-  EXPECT_EQ(fast.mem.stores, ref.mem.stores);
-  EXPECT_EQ(fast.mem.prefetches, ref.mem.prefetches);
-  EXPECT_EQ(fast.mem.front_hits, ref.mem.front_hits);
-  EXPECT_EQ(fast.mem.front_misses, ref.mem.front_misses);
-  EXPECT_EQ(fast.mem.front_store_hits, ref.mem.front_store_hits);
-  EXPECT_EQ(fast.mem.promotions, ref.mem.promotions);
-  EXPECT_EQ(fast.mem.front_writebacks, ref.mem.front_writebacks);
-  EXPECT_EQ(fast.mem.prefetch_hits, ref.mem.prefetch_hits);
-  EXPECT_EQ(fast.mem.l1_read_hits, ref.mem.l1_read_hits);
-  EXPECT_EQ(fast.mem.l1_write_hits, ref.mem.l1_write_hits);
-  EXPECT_EQ(fast.mem.l1_misses, ref.mem.l1_misses);
-  EXPECT_EQ(fast.mem.l1_writebacks, ref.mem.l1_writebacks);
-  EXPECT_EQ(fast.mem.l2_hits, ref.mem.l2_hits);
-  EXPECT_EQ(fast.mem.l2_misses, ref.mem.l2_misses);
-  EXPECT_EQ(fast.mem.l1_array_reads, ref.mem.l1_array_reads);
-  EXPECT_EQ(fast.mem.l1_array_writes, ref.mem.l1_array_writes);
-  EXPECT_EQ(fast.mem.l2_array_reads, ref.mem.l2_array_reads);
-  EXPECT_EQ(fast.mem.l2_array_writes, ref.mem.l2_array_writes);
-  EXPECT_EQ(fast.mem.bank_conflict_cycles, ref.mem.bank_conflict_cycles);
+  std::uint8_t ea[sim::kRunStatsBytes];
+  std::uint8_t eb[sim::kRunStatsBytes];
+  sim::encode_run_stats(a, ea);
+  sim::encode_run_stats(b, eb);
+  EXPECT_EQ(std::memcmp(ea, eb, sizeof ea), 0)
+      << context << "\n" << sim::to_json(a) << "\n" << sim::to_json(b);
 }
 
-TEST(FastPath, MatchesReferenceOnRandomTraces) {
+/// The six organizations plus one fault-injecting configuration: every
+/// instantiation of the replay loop System can pick.
+std::vector<cpu::SystemConfig> all_instantiations() {
+  std::vector<cpu::SystemConfig> out;
   for (const cpu::Dl1Organization org : kAllOrgs) {
     cpu::SystemConfig cfg;
     cfg.organization = org;
-    cpu::System system(cfg);
+    out.push_back(cfg);
+  }
+  cpu::SystemConfig faulted;
+  faulted.organization = cpu::Dl1Organization::kNvmVwb;
+  faulted.faults.enabled = true;
+  faulted.faults.seed = 7;
+  faulted.faults.fail_ppm = 300'000;
+  faulted.faults.double_fault_pct = 25;
+  out.push_back(faulted);
+  return out;
+}
+
+std::string label(const cpu::SystemConfig& cfg) {
+  return std::string(cpu::to_string(cfg.organization)) +
+         (cfg.faults_active() ? " faulted" : "");
+}
+
+/// Runs `decoded` unobserved and observed on one System and checks that the
+/// hook changes nothing: identical RunStats, one event per op in order, each
+/// op issuing where the previous one completed, and the last completion
+/// equal to total_cycles. Returns the unobserved stats.
+sim::RunStats expect_observed_matches_unobserved(const cpu::SystemConfig& cfg,
+                                        const cpu::DecodedTrace& decoded,
+                                        const std::string& context) {
+  SCOPED_TRACE(context);
+  cpu::System system(cfg);
+  const sim::RunStats plain = system.run(decoded);
+  std::vector<cpu::OpEvent> events;
+  const sim::RunStats observed = system.run(
+      decoded, [&](const cpu::OpEvent& ev) { events.push_back(ev); });
+  expect_identical(observed, plain, context);
+  EXPECT_EQ(events.size(), decoded.size());
+  sim::Cycle prev = 0;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    EXPECT_EQ(events[i].index, i);
+    EXPECT_EQ(events[i].issue, prev) << "op " << i;
+    EXPECT_GE(events[i].complete, events[i].issue) << "op " << i;
+    prev = events[i].complete;
+  }
+  EXPECT_EQ(prev, plain.core.total_cycles);
+  return plain;
+}
+
+TEST(ObservedRun, MatchesUnobservedOnRandomTraces) {
+  for (const cpu::SystemConfig& cfg : all_instantiations()) {
     for (std::uint64_t seed = 1; seed <= 8; ++seed) {
       // Region sweeps from cache-resident to thrashing the 64 KiB DL1.
       const Addr region = Addr{8} << (10 + 2 * (seed % 4));
-      const cpu::Trace trace = testutil::random_trace(seed, 4000, region);
-      const sim::RunStats fast = system.run(cpu::decode(trace));
-      const sim::RunStats ref = system.run_reference(trace);
-      expect_identical(fast, ref,
-                       std::string(cpu::to_string(org)) + " seed " +
-                           std::to_string(seed));
+      expect_observed_matches_unobserved(
+          cfg, cpu::decode(testutil::random_trace(seed, 4000, region)),
+          label(cfg) + " seed " + std::to_string(seed));
     }
   }
 }
 
-TEST(FastPath, MatchesReferenceOnKernelTrace) {
-  const cpu::Trace trace =
-      workloads::gemm(20, 20, 20, workloads::CodegenOptions::none());
-  const cpu::DecodedTrace decoded = cpu::decode(trace);
-  for (const cpu::Dl1Organization org : kAllOrgs) {
-    cpu::SystemConfig cfg;
-    cfg.organization = org;
-    cpu::System system(cfg);
-    // The same decoded trace is shared (read-only) across organizations,
-    // exactly as the grid's trace cache shares it across workers.
-    expect_identical(system.run(decoded), system.run_reference(trace),
-                     cpu::to_string(org));
+TEST(ObservedRun, MatchesUnobservedOnKernelTrace) {
+  // The same decoded trace is shared (read-only) across organizations,
+  // exactly as the grid's trace cache shares it across workers.
+  const cpu::DecodedTrace decoded = cpu::decode(
+      workloads::gemm(20, 20, 20, workloads::CodegenOptions::none()));
+  for (const cpu::SystemConfig& cfg : all_instantiations()) {
+    const sim::RunStats s =
+        expect_observed_matches_unobserved(cfg, decoded, label(cfg));
+    // The faulted configuration must actually take the ECC read path.
+    if (cfg.faults_active()) {
+      EXPECT_GT(s.mem.ecc_corrections, 0u);
+    }
   }
 }
 
-TEST(FastPath, RawTraceOverloadDecodesOnTheFly) {
+TEST(ObservedRun, RawTraceOverloadDecodesOnTheFly) {
   const cpu::Trace trace = testutil::random_trace(99, 2000, 64 * kKiB);
-  cpu::SystemConfig cfg;
-  cfg.organization = cpu::Dl1Organization::kNvmVwb;
-  cpu::System system(cfg);
-  expect_identical(system.run(trace), system.run_reference(trace),
-                   "run(Trace) overload");
+  for (const cpu::SystemConfig& cfg : all_instantiations()) {
+    cpu::System system(cfg);
+    expect_identical(system.run(trace), system.run(cpu::decode(trace)),
+                     label(cfg) + " run(Trace) overload");
+  }
 }
 
 TEST(DecodedTrace, RoundTripsExactly) {

@@ -8,13 +8,11 @@
 //   sttsim --trace-in=foo.trc --org=nvm-drop-in
 //   sttsim --kernel=mvt --trace-out=mvt.trc      (capture, no simulation)
 //   sttsim --trace-in=repro.trace --org=nvm-vwb --check-oracle
-//   sttsim --kernel=gemm --org=nvm-vwb,nvm-l0,nvm-emshr   (batched compare)
+//   sttsim --kernel=gemm --org=nvm-vwb,nvm-l0,nvm-emshr   (side-by-side)
 //   sttsim --list
 //
-// --org accepts a comma-separated list: all named organizations are
-// simulated in one batched compressed-trace pass per organization class
-// (cpu::replay_batch) and reported side by side. --batch=K caps the lane
-// count per pass.
+// --org accepts a comma-separated list: every named organization replays
+// the same decoded trace and the stats are reported side by side.
 //
 // Options: --vwb-kbit=N --vwb-lines=N --banks=N --clock-ghz=F --csv
 //          --store=PATH (persistent result store: repeated identical runs
@@ -36,7 +34,6 @@
 #include <string>
 
 #include "sttsim/check/differential.hpp"
-#include "sttsim/cpu/batch_replay.hpp"
 #include "sttsim/cpu/system.hpp"
 #include "sttsim/cpu/trace_io.hpp"
 #include "sttsim/exec/parallel_executor.hpp"
@@ -81,14 +78,13 @@ struct CliOptions {
       "          [--opts=vec,pf,br] [--vwb-kbit=N] [--vwb-lines=N]\n"
       "          [--banks=N] [--clock-ghz=F] [--trace-out=FILE]\n"
       "          [--faults=SEED[:PPM[:DOUBLEPCT]]] [--ecc=CORR[:REFILL]]\n"
-      "          [--baseline-penalty] [--check-oracle] [--jobs=N] "
-      "[--batch=K]\n"
+      "          [--baseline-penalty] [--check-oracle] [--jobs=N]\n"
       "          [--store=PATH] [--no-store] [--trace-store=PATH]\n"
       "          [--no-trace-store] [--deadline=SECS] "
       "[--retries=N]\n"
       "          [--request-priority=P] [--csv|--json]\n"
-      "(a comma-separated --org list runs all of them in one batched\n"
-      " replay pass per organization class and reports them side by side;\n"
+      "(a comma-separated --org list runs each of them on the same trace\n"
+      " and reports them side by side;\n"
       " --faults enables deterministic retention-fault injection on NVM\n"
       " organizations — SEED keys the schedule, PPM the per-window failure\n"
       " odds, DOUBLEPCT the double-bit share; --ecc sets the SEC-DED\n"
@@ -239,8 +235,6 @@ CliOptions parse_args(int argc, char** argv) {
       }
     } else if (take("--jobs=")) {
       exec::set_default_jobs(static_cast<unsigned>(std::stoul(val)));
-    } else if (take("--batch=")) {
-      exec::set_default_batch(static_cast<unsigned>(std::stoul(val)));
     } else if (take("--deadline=")) {
       request.deadline_s = std::stod(val);
     } else if (take("--retries=")) {
@@ -344,35 +338,15 @@ int run(const CliOptions& o) {
                    "--check-oracle/--baseline-penalty/--json\n");
       return 2;
     }
-    // Batched comparison: one compressed-trace replay pass per organization
-    // class drives every requested configuration of that class at once.
-    // --batch caps lanes per pass; unset, whole class groups ride together.
+    // Side-by-side comparison: one decode, then each organization replays
+    // the shared decoded trace on its own System. Every run finishes before
+    // anything prints, so a bad configuration prints nothing.
     const cpu::DecodedTrace decoded = cpu::decode(trace);
-    const cpu::CompressedTrace compressed = cpu::compress(decoded);
-    std::vector<cpu::SystemConfig> cfgs;
-    cfgs.reserve(o.orgs.size());
+    std::vector<sim::RunStats> all;
     for (const cpu::Dl1Organization org : o.orgs) {
       cpu::SystemConfig cfg = o.system;
       cfg.organization = org;
-      cfg.validate();
-      cfgs.push_back(cfg);
-    }
-    const unsigned width = exec::default_batch() > 1 ? exec::default_batch()
-                                                     : cpu::kMaxBatchLanes;
-    std::vector<sim::RunStats> all(cfgs.size());
-    for (const std::vector<std::size_t>& part :
-         cpu::partition_batches(cfgs, width)) {
-      std::vector<cpu::System> systems;
-      systems.reserve(part.size());
-      for (const std::size_t i : part) {
-        systems.emplace_back(cfgs[i], cpu::System::kPrevalidated);
-      }
-      std::vector<cpu::System*> lanes;
-      lanes.reserve(systems.size());
-      for (cpu::System& s : systems) lanes.push_back(&s);
-      const std::vector<sim::RunStats> stats =
-          cpu::System::run_batch(compressed, lanes);
-      for (std::size_t i = 0; i < part.size(); ++i) all[part[i]] = stats[i];
+      all.push_back(cpu::System(cfg).run(decoded));
     }
     for (std::size_t i = 0; i < o.orgs.size(); ++i) {
       if (!o.csv) {
