@@ -4,6 +4,11 @@
 // requesters block on the latch, not on the map lock, so unrelated keys
 // generate in parallel).
 //
+// Values are shared: get_or_generate hands out a shared_ptr, and drop()
+// only forgets the cache's own reference, so a value lives until its last
+// holder lets go. A caller that is done with a key can free its memory
+// without knowing who else is still using it.
+//
 // experiments::TraceCache instantiates this for (kernel, codegen) -> Trace;
 // the template itself is simulator-agnostic so the ThreadSanitizer test
 // target can exercise it without linking the simulation libraries.
@@ -14,8 +19,8 @@
 #include <cstddef>
 #include <functional>
 #include <map>
+#include <memory>
 #include <mutex>
-#include <optional>
 #include <shared_mutex>
 #include <utility>
 
@@ -24,53 +29,74 @@ namespace sttsim::exec {
 template <typename Key, typename Value, typename Compare = std::less<>>
 class ConcurrentMemoCache {
  public:
+  using Handle = std::shared_ptr<const Value>;
+
   /// Returns the value for `lookup`, generating it with `gen()` on first
-  /// use. `lookup` may be a cheap view type (heterogeneous comparison via
-  /// a transparent `Compare`); `make_key()` materializes the owning Key
-  /// only on the insertion path, so cache hits allocate nothing. If `gen`
-  /// throws, the entry stays ungenerated and the next requester retries.
+  /// use (or first use after a drop()). `lookup` may be a cheap view type
+  /// (heterogeneous comparison via a transparent `Compare`); `make_key()`
+  /// materializes the owning Key only on the insertion path, so cache hits
+  /// allocate nothing. If `gen` throws, the entry stays ungenerated and the
+  /// next requester retries.
   template <typename LookupKey, typename MakeKey, typename Generator>
-  const Value& get_or_generate(const LookupKey& lookup, MakeKey&& make_key,
-                               Generator&& gen) {
-    Entry* entry = nullptr;
+  Handle get_or_generate(const LookupKey& lookup, MakeKey&& make_key,
+                         Generator&& gen) {
+    // Requesters hold the entry itself, not a map iterator, so a
+    // concurrent drop() can erase the map node without pulling the latch
+    // out from under a waiter.
+    std::shared_ptr<Entry> entry;
     {
       std::shared_lock<std::shared_mutex> read(mu_);
       const auto it = map_.find(lookup);
-      if (it != map_.end()) entry = &it->second;
+      if (it != map_.end()) entry = it->second;
     }
     if (entry == nullptr) {
       std::unique_lock<std::shared_mutex> write(mu_);
-      entry = &map_[std::forward<MakeKey>(make_key)()];
+      std::shared_ptr<Entry>& slot = map_[std::forward<MakeKey>(make_key)()];
+      if (slot == nullptr) slot = std::make_shared<Entry>();
+      entry = slot;
     }
     // Per-key latch (explicit mutex/condvar rather than std::call_once,
     // whose exceptional path is not ThreadSanitizer-clean in libstdc++).
     std::unique_lock<std::mutex> lock(entry->mu);
     while (true) {
-      if (entry->value.has_value()) return *entry->value;
+      if (entry->value != nullptr) return entry->value;
       if (!entry->generating) break;
       entry->done.wait(lock);
     }
     entry->generating = true;
     lock.unlock();
+    Handle value;
     try {
-      Value v = gen();
-      lock.lock();
-      entry->value.emplace(std::move(v));
+      value = std::make_shared<const Value>(gen());
     } catch (...) {
       lock.lock();
       entry->generating = false;  // let the next requester retry
       entry->done.notify_all();
-      lock.unlock();
       throw;
     }
+    lock.lock();
+    entry->value = value;
     entry->generating = false;
     generated_.fetch_add(1, std::memory_order_relaxed);
     entry->done.notify_all();
-    // The value is immutable from here on; readers only need the entry.
-    return *entry->value;
+    return value;
   }
 
-  /// Number of generated entries.
+  /// Forgets the value cached under `lookup`, if any. Holders of a Handle
+  /// keep theirs alive; the next get_or_generate for the key regenerates.
+  /// A generation in flight completes for the requesters already waiting
+  /// on it.
+  template <typename LookupKey>
+  void drop(const LookupKey& lookup) {
+    std::shared_ptr<Entry> entry;  // released after the map lock
+    std::unique_lock<std::shared_mutex> write(mu_);
+    const auto it = map_.find(lookup);
+    if (it == map_.end()) return;
+    entry = std::move(it->second);
+    map_.erase(it);
+  }
+
+  /// Number of generations so far (drop() does not decrement it).
   std::size_t entries() const {
     return generated_.load(std::memory_order_relaxed);
   }
@@ -80,11 +106,11 @@ class ConcurrentMemoCache {
     std::mutex mu;
     std::condition_variable done;
     bool generating = false;
-    std::optional<Value> value;
+    Handle value;
   };
 
   mutable std::shared_mutex mu_;
-  std::map<Key, Entry, Compare> map_;  // node stability keeps Entry* valid
+  std::map<Key, std::shared_ptr<Entry>, Compare> map_;
   std::atomic<std::size_t> generated_{0};
 };
 

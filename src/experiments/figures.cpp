@@ -419,15 +419,18 @@ std::string lifetime_report(const KernelFilter& filter) {
   cfg.validate();
   // Wear profiling needs the System's DL1 array after the run, so this
   // report fans whole per-kernel jobs (run + profile + row formatting)
-  // across the pool rather than going through run_grid.
+  // across the pool rather than going through run_grid. Each trace serves
+  // exactly one job, so the job drops it from the cache and its memory
+  // goes when the job's handle does.
   exec::ParallelExecutor pool;
   const std::vector<std::vector<std::string>> rows =
       pool.map(kernels.size(), [&](std::size_t i) {
         const Kernel& k = kernels[i];
-        const cpu::DecodedTrace& trace = cache.get_decoded(k, base);
+        const auto trace = cache.get_decoded(k, base);
+        cache.drop(k, base);
         cpu::System system(cfg, cpu::System::kPrevalidated);
-        const sim::RunStats stats = system.run(trace);
-        exec::Telemetry::instance().count_simulation(trace.size());
+        const sim::RunStats stats = system.run(*trace);
+        exec::Telemetry::instance().count_simulation(trace->size());
         const auto wear = reliability::profile_wear(
             system.dl1().array(), stats.core.total_cycles, 1.0);
         return std::vector<std::string>{

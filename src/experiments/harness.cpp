@@ -1,9 +1,12 @@
 #include "sttsim/experiments/harness.hpp"
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <limits>
 #include <tuple>
+#include <type_traits>
 
 #include "sttsim/cpu/decoded_trace.hpp"
 #include "sttsim/cpu/trace_io.hpp"
@@ -45,52 +48,35 @@ void hash_codegen(util::Hash64& h, const workloads::CodegenOptions& o) {
       .boolean(o.branch_opts);
 }
 
-void hash_technology(util::Hash64& h, const tech::TechnologyParams& t) {
-  h.u8(static_cast<std::uint8_t>(t.tech))
-      .f64(t.read_latency_ns)
-      .f64(t.write_latency_ns)
-      .f64(t.leakage_mw)
-      .f64(t.cell_area_f2)
-      .u64(t.capacity_bytes)
-      .u32(t.associativity)
-      .u32(t.line_bits)
-      .f64(t.read_energy_nj)
-      .f64(t.write_energy_nj);
-}
+/// Folds one config field with the encoding its type implies: enums as one
+/// byte, bools, doubles, and 32- or 64-bit integers.
+struct HashField {
+  util::Hash64& h;
+  template <typename T>
+  void operator()(const T& field) const {
+    if constexpr (std::is_enum_v<T>) {
+      h.u8(static_cast<std::uint8_t>(field));
+    } else if constexpr (std::is_same_v<T, bool>) {
+      h.boolean(field);
+    } else if constexpr (std::is_same_v<T, double>) {
+      h.f64(field);
+    } else if constexpr (std::is_integral_v<T> && sizeof(T) == 4) {
+      h.u32(field);
+    } else {
+      static_assert(std::is_integral_v<T> && sizeof(T) == 8,
+                    "no digest encoding for this field type");
+      h.u64(field);
+    }
+  }
+};
 
 void hash_system_config(util::Hash64& h, const cpu::SystemConfig& c) {
-  h.u8(static_cast<std::uint8_t>(c.organization))
-      .f64(c.clock_ghz)
-      .u32(c.vwb_total_kbit)
-      .u32(c.vwb_lines)
-      .u32(c.nvm_banks)
-      .u32(c.store_buffer_depth)
-      .u32(c.writeback_buffer_depth)
-      .u32(c.mshr_entries);
-  hash_technology(h, c.sram);
-  hash_technology(h, c.stt);
-  h.u64(c.l2.capacity_bytes)
-      .u32(c.l2.associativity)
-      .u64(c.l2.line_bytes)
-      .u64(c.l2.hit_latency)
-      .u64(c.l2.port_occupancy)
-      .u64(c.l2.memory_latency);
-  // Reliability: keyed on faults_active(), not faults.enabled — enabling
-  // faults on the SRAM baseline changes nothing, so it must not dirty its
-  // points. The parameters are folded only when active, so editing (say)
-  // the fault seed recomputes exactly the fault-injecting points.
+  for_each_config_field(c, HashField{h});
+  // Reliability: keyed on faults_active(), not faults.enabled, and the
+  // parameters are folded only when active, so editing (say) the fault
+  // seed recomputes exactly the fault-injecting points.
   h.boolean(c.faults_active());
-  if (c.faults_active()) {
-    h.u64(c.faults.seed)
-        .u32(c.faults.fail_ppm)
-        .u32(c.faults.double_fault_pct)
-        .u32(c.faults.retention_window_log2)
-        .u32(c.faults.wear_sensitivity_log2)
-        .u32(c.ecc.word_bits)
-        .u32(c.ecc.check_bits)
-        .u32(c.ecc.correction_cycles)
-        .u32(c.ecc.refill_cycles);
-  }
+  if (c.faults_active()) for_each_fault_field(c, HashField{h});
 }
 
 /// Version preamble shared by both digest flavors: a record written under
@@ -176,7 +162,7 @@ bool TraceCache::KeyLess::less(const KeyView& a, const KeyView& b) {
   return codegen_tuple(*a.opts) < codegen_tuple(*b.opts);
 }
 
-const cpu::DecodedTrace& TraceCache::get_decoded(
+std::shared_ptr<const cpu::DecodedTrace> TraceCache::get_decoded(
     const workloads::Kernel& kernel, const workloads::CodegenOptions& opts) {
   const KeyView lookup{kernel.name, &opts};
   return cache_.get_or_generate(
@@ -221,12 +207,19 @@ const cpu::DecodedTrace& TraceCache::get_decoded(
       });
 }
 
-const cpu::Trace& TraceCache::get(const workloads::Kernel& kernel,
-                                  const workloads::CodegenOptions& opts) {
+std::shared_ptr<const cpu::Trace> TraceCache::get(
+    const workloads::Kernel& kernel, const workloads::CodegenOptions& opts) {
   const KeyView lookup{kernel.name, &opts};
   return raw_cache_.get_or_generate(
       lookup, [&] { return Key{kernel.name, opts}; },
-      [&] { return cpu::reassemble(get_decoded(kernel, opts)); });
+      [&] { return cpu::reassemble(*get_decoded(kernel, opts)); });
+}
+
+void TraceCache::drop(const workloads::Kernel& kernel,
+                      const workloads::CodegenOptions& opts) {
+  const KeyView lookup{kernel.name, &opts};
+  cache_.drop(lookup);
+  raw_cache_.drop(lookup);
 }
 
 sim::RunStats run_kernel(TraceCache& cache, const workloads::Kernel& kernel,
@@ -243,12 +236,12 @@ sim::RunStats run_kernel(TraceCache& cache, const workloads::Kernel& kernel,
     }
     exec::Telemetry::instance().count_memo_miss();
   }
-  const cpu::DecodedTrace& trace = cache.get_decoded(kernel, opts);
+  const auto trace = cache.get_decoded(kernel, opts);
   cpu::System system(config);
   const std::uint64_t t0 = now_ns();
-  const sim::RunStats stats = system.run(trace);
+  const sim::RunStats stats = system.run(*trace);
   exec::Telemetry::instance().count_replay_ns(now_ns() - t0);
-  exec::Telemetry::instance().count_simulation(trace.size());
+  exec::Telemetry::instance().count_simulation(trace->size());
   if (store != nullptr) {
     std::uint8_t payload[sim::kRunStatsBytes];
     sim::encode_run_stats(stats, payload);
@@ -260,12 +253,33 @@ sim::RunStats run_kernel(TraceCache& cache, const workloads::Kernel& kernel,
 namespace {
 
 /// One grid point still to simulate: jobs[j] on kernels[k]. `digest` is the
-/// point's result-store key (0 and unused when no store is active).
+/// point's result-store key (0 and unused when no store is active); `trace`
+/// numbers the grid's distinct (kernel, codegen) traces.
 struct GridPoint {
   std::size_t j = 0;
   std::size_t k = 0;
   std::uint64_t digest = 0;
+  std::size_t trace = 0;
 };
+
+/// Reorders j-major `points` into windows of `width` distinct traces: the
+/// traces in order of first use, cut into groups of `width`, each group's
+/// points still j-major. The pool starts a window by synthesizing its
+/// traces in parallel and finishes one window's traces before it moves far
+/// into the next, so only about `width` traces are alive at once.
+void window_by_trace(std::vector<GridPoint>& points, std::size_t width,
+                     std::size_t n_traces) {
+  constexpr std::size_t kUnseen = static_cast<std::size_t>(-1);
+  std::vector<std::size_t> rank(n_traces, kUnseen);
+  std::size_t seen = 0;
+  for (const GridPoint& p : points) {
+    if (rank[p.trace] == kUnseen) rank[p.trace] = seen++;
+  }
+  std::stable_sort(points.begin(), points.end(),
+                   [&](const GridPoint& a, const GridPoint& b) {
+                     return rank[a.trace] / width < rank[b.trace] / width;
+                   });
+}
 
 void store_append(exec::ResultStore* store, std::uint64_t digest,
                   const sim::RunStats& stats) {
@@ -298,29 +312,42 @@ void finish_request(const exec::RequestResult<T>& result) {
   }
 }
 
-/// Runs `points` as one scheduler task each (in the given order — j-major
-/// for a full grid, matching the historical serial loops) and scatters
-/// results into out[j][k]. Completed misses append to the store from inside
-/// their task, so an interrupted campaign keeps every point it finished.
+/// Runs `points` as one scheduler task each, in windows of as many traces
+/// as the pool has workers (window_by_trace), and scatters results into
+/// out[j][k]. Completed misses append to the store from inside their task,
+/// so an interrupted campaign keeps every point it finished. The task that
+/// completes a trace's last point drops the trace from `cache`; a point
+/// that fails, times out or is cancelled never counts down, so its trace
+/// simply stays cached.
 void run_points(TraceCache& cache,
                 const std::vector<workloads::Kernel>& kernels,
                 const std::vector<SuiteJob>& jobs,
-                const std::vector<GridPoint>& points, exec::ResultStore* store,
+                std::vector<GridPoint> points, std::size_t n_traces,
+                exec::ResultStore* store,
                 std::vector<std::vector<sim::RunStats>>& out) {
   exec::RequestScheduler scheduler;
+  window_by_trace(points, scheduler.jobs(), n_traces);
+  std::vector<std::atomic<std::size_t>> remaining(n_traces);
+  for (const GridPoint& p : points) {
+    remaining[p.trace].fetch_add(1, std::memory_order_relaxed);
+  }
   const auto result = scheduler.run(
       exec::default_request(), points.size(),
       [&](std::size_t i, const exec::CancellationToken&) {
         const GridPoint& p = points[i];
         const SuiteJob& job = jobs[p.j];
-        const cpu::DecodedTrace& trace =
-            cache.get_decoded(kernels[p.k], job.opts);
+        const auto trace = cache.get_decoded(kernels[p.k], job.opts);
         cpu::System system(job.config, cpu::System::kPrevalidated);
         const std::uint64_t t0 = now_ns();
-        const sim::RunStats stats = system.run(trace);
+        const sim::RunStats stats = system.run(*trace);
         exec::Telemetry::instance().count_replay_ns(now_ns() - t0);
-        exec::Telemetry::instance().count_simulation(trace.size());
+        exec::Telemetry::instance().count_simulation(trace->size());
         store_append(store, p.digest, stats);
+        // The point is complete and nothing below can throw, so it counts
+        // down exactly once, however often its task was retried.
+        if (remaining[p.trace].fetch_sub(1, std::memory_order_acq_rel) == 1) {
+          cache.drop(kernels[p.k], job.opts);
+        }
         return stats;
       });
   for (std::size_t i = 0; i < points.size(); ++i) {
@@ -362,12 +389,24 @@ std::vector<std::vector<sim::RunStats>> run_grid(
   const exec::TelemetrySnapshot before = exec::Telemetry::instance().snapshot();
   std::vector<std::vector<sim::RunStats>> out(
       jobs.size(), std::vector<sim::RunStats>(n_kernels));
+  // Jobs with equal codegen options replay the same traces: codegen[j] is
+  // the first job with jobs[j]'s options, and trace numbers follow it.
+  std::vector<std::size_t> codegen(jobs.size());
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    codegen[j] = j;
+    for (std::size_t i = 0; i < j; ++i) {
+      if (codegen_tuple(jobs[i].opts) == codegen_tuple(jobs[j].opts)) {
+        codegen[j] = codegen[i];
+        break;
+      }
+    }
+  }
   std::vector<GridPoint> points;
   points.reserve(jobs.size() * n_kernels);
   std::size_t hits = 0;
   for (std::size_t j = 0; j < jobs.size(); ++j) {
     for (std::size_t k = 0; k < n_kernels; ++k) {
-      GridPoint p{j, k, 0};
+      GridPoint p{j, k, 0, codegen[j] * n_kernels + k};
       if (store != nullptr) {
         p.digest =
             simulation_digest(kernels[k].name, jobs[j].opts, jobs[j].config);
@@ -384,7 +423,11 @@ std::vector<std::vector<sim::RunStats>> run_grid(
     }
   }
 
-  if (!points.empty()) run_points(cache, kernels, jobs, points, store, out);
+  const std::size_t n_points = points.size();
+  if (n_points != 0) {
+    run_points(cache, kernels, jobs, std::move(points),
+               jobs.size() * n_kernels, store, out);
+  }
   // Lifecycle tally for this grid (delta over the run). The happy path —
   // no retries, no deadline, nothing cancelled — prints exactly the
   // historical line, byte for byte.
@@ -403,7 +446,7 @@ std::vector<std::vector<sim::RunStats>> run_grid(
     std::fprintf(
         stderr,
         "[sttsim] result store %s: %zu/%zu grid points warm, %zu simulated%s\n",
-        store->path().c_str(), hits, jobs.size() * n_kernels, points.size(),
+        store->path().c_str(), hits, jobs.size() * n_kernels, n_points,
         lifecycle);
   } else if (lifecycle[0] != '\0') {
     std::fprintf(stderr, "[sttsim] grid: %zu points%s\n",

@@ -4,6 +4,8 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -29,15 +31,21 @@ double penalty_pct(const sim::RunStats& variant,
 double gain_pct(const sim::RunStats& unoptimized,
                 const sim::RunStats& optimized);
 
-/// Memoizes generated traces per (kernel, codegen) so multi-figure bench
-/// binaries do not regenerate identical traces — synthesized straight into
-/// the packed decoded representation (Kernel::generate_decoded), so grid
+/// Memoizes generated traces per (kernel, codegen) so the points of a grid
+/// that share a trace do not regenerate it — synthesized straight into the
+/// packed decoded representation (Kernel::generate_decoded), so grid
 /// replays never touch a raw TraceOp vector or a decode() pass.
 /// Concurrency-safe: a shared_mutex guards the index and a per-key
 /// once-latch guarantees each trace is generated exactly once even when many
 /// parallel jobs request it simultaneously. Cache hits allocate nothing
 /// (heterogeneous lookup by kernel-name view + codegen fields; no key string
 /// is built).
+///
+/// Traces are handed out as shared handles, and drop() forgets one: the
+/// memory goes when the last holder lets go. run_grid drops each trace after
+/// its last grid point, so a cache that only feeds grids holds just the
+/// traces of the points in flight; a later request for a dropped trace
+/// regenerates it (entries() counts that generation too).
 ///
 /// When a persistent trace store is active (exec::set_trace_store; the
 /// benches' --trace-store=PATH flag), a miss probes the store by
@@ -47,14 +55,18 @@ double gain_pct(const sim::RunStats& unoptimized,
 /// the next run. Without a store nothing is ever compressed.
 class TraceCache {
  public:
-  const cpu::DecodedTrace& get_decoded(const workloads::Kernel& kernel,
-                                       const workloads::CodegenOptions& opts);
+  std::shared_ptr<const cpu::DecodedTrace> get_decoded(
+      const workloads::Kernel& kernel, const workloads::CodegenOptions& opts);
   /// Raw TraceOp form, reassembled from the decoded trace on first request
-  /// and memoized separately (diagnostics only — lifetime reports, dumps;
-  /// the replay paths never call this).
-  const cpu::Trace& get(const workloads::Kernel& kernel,
-                        const workloads::CodegenOptions& opts);
+  /// and memoized separately (the CLI's raw-trace path; the replay paths
+  /// never call this).
+  std::shared_ptr<const cpu::Trace> get(const workloads::Kernel& kernel,
+                                        const workloads::CodegenOptions& opts);
+  /// Forgets both forms of one trace; handles already given out stay valid.
+  void drop(const workloads::Kernel& kernel,
+            const workloads::CodegenOptions& opts);
 
+  /// Traces generated or loaded so far, dropped ones included.
   std::size_t entries() const { return cache_.entries(); }
 
  private:
@@ -91,6 +103,59 @@ class TraceCache {
 /// certify "the generator would emit a bit-identical compressed trace".
 std::uint64_t trace_digest(std::string_view kernel_name,
                            const workloads::CodegenOptions& opts);
+
+/// Calls visit(field) on every SystemConfig field that simulation_digest
+/// folds unconditionally, in digest order: the organization, clock and
+/// buffer geometry, both technologies (all but the cosmetic label) and the
+/// L2. `Config` may be const or not, so the one list serves the digest and
+/// the tests that perturb each field in turn. A new SystemConfig field goes
+/// here (or in for_each_fault_field), or the digest misses it and stale
+/// results come back as memo hits.
+template <typename Config, typename Visit>
+void for_each_config_field(Config& c, Visit&& visit) {
+  visit(c.organization);
+  visit(c.clock_ghz);
+  visit(c.vwb_total_kbit);
+  visit(c.vwb_lines);
+  visit(c.nvm_banks);
+  visit(c.store_buffer_depth);
+  visit(c.writeback_buffer_depth);
+  visit(c.mshr_entries);
+  for (auto* t : {&c.sram, &c.stt}) {
+    visit(t->tech);
+    visit(t->read_latency_ns);
+    visit(t->write_latency_ns);
+    visit(t->leakage_mw);
+    visit(t->cell_area_f2);
+    visit(t->capacity_bytes);
+    visit(t->associativity);
+    visit(t->line_bits);
+    visit(t->read_energy_nj);
+    visit(t->write_energy_nj);
+  }
+  visit(c.l2.capacity_bytes);
+  visit(c.l2.associativity);
+  visit(c.l2.line_bytes);
+  visit(c.l2.hit_latency);
+  visit(c.l2.port_occupancy);
+  visit(c.l2.memory_latency);
+}
+
+/// The fault and ECC fields, which simulation_digest folds only when
+/// faults_active(): enabling faults on the SRAM baseline changes nothing,
+/// so it must not dirty that baseline's points.
+template <typename Config, typename Visit>
+void for_each_fault_field(Config& c, Visit&& visit) {
+  visit(c.faults.seed);
+  visit(c.faults.fail_ppm);
+  visit(c.faults.double_fault_pct);
+  visit(c.faults.retention_window_log2);
+  visit(c.faults.wear_sensitivity_log2);
+  visit(c.ecc.word_bits);
+  visit(c.ecc.check_bits);
+  visit(c.ecc.correction_cycles);
+  visit(c.ecc.refill_cycles);
+}
 
 /// Stable 64-bit digest of the *full* simulation input of one grid point:
 /// kernel identity, codegen options, DL1 organization geometry, technology
@@ -130,6 +195,14 @@ struct SuiteJob {
 /// is validated once up front and shared read-only by its jobs. Results
 /// come back in deterministic input order — result[j][k] is jobs[j] on
 /// kernels[k] — byte-identical to the historical serial loops.
+///
+/// Trace lifetime: the points are issued in windows of as many distinct
+/// (kernel, codegen) traces as the pool has workers, j-major inside a
+/// window, so a window's first tasks synthesize (or load) its traces in
+/// parallel. The task that finishes a trace's last point drops it from
+/// `cache`, so about one window of traces is resident at a time and each
+/// trace is still generated exactly once per grid. A point that fails,
+/// times out or is cancelled leaves its trace in `cache`.
 ///
 /// When a persistent result store is active (exec::set_result_store; the
 /// benches' --store=PATH flag), every point's digest is probed up front:

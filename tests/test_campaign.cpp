@@ -165,9 +165,12 @@ TEST_F(CampaignTest, StalledPointTimesOutOthersComplete) {
   EXPECT_LT(std::chrono::duration_cast<std::chrono::seconds>(elapsed).count(),
             30);
   EXPECT_EQ(delta.tasks_timed_out, 1u);
-  // Points in execution order are j-major; the last is jobs.back() x
-  // kernels.back(). Completed points match the reference bit for bit; the
-  // overdue point's slot is skip-and-report default RunStats.
+  // run_grid issues points in windows of pool-width traces, j-major inside
+  // a window. This grid's two traces ((atax, none) and (atax, all)) fill
+  // one window at any width of 2 or more, and at width 1 the (atax, none)
+  // window comes first, so the last point issued is jobs.back() x
+  // kernels.back() either way. Completed points match the reference bit
+  // for bit; the overdue point's slot is skip-and-report default RunStats.
   for (std::size_t j = 0; j + 1 < jobs.size(); ++j) {
     EXPECT_EQ(sim::to_json(degraded[j][0]), sim::to_json(reference[j][0]));
   }

@@ -111,13 +111,13 @@ TEST(MemoCache, GeneratesEachKeyExactlyOnceUnderContention) {
     threads.emplace_back([&] {
       for (int iter = 0; iter < 50; ++iter) {
         for (int key = 0; key < kKeys; ++key) {
-          const std::string& v = cache.get_or_generate(
+          const auto v = cache.get_or_generate(
               key, [&] { return key; },
               [&] {
                 generations.fetch_add(1);
                 return "value-" + std::to_string(key);
               });
-          ASSERT_EQ(v, "value-" + std::to_string(key));
+          ASSERT_EQ(*v, "value-" + std::to_string(key));
         }
       }
     });
@@ -130,7 +130,7 @@ TEST(MemoCache, GeneratesEachKeyExactlyOnceUnderContention) {
 TEST(MemoCache, HitReturnsSameObjectAndSkipsKeyMaterialization) {
   ConcurrentMemoCache<std::string, int> cache;
   int keys_built = 0;
-  const auto get = [&] () -> const int& {
+  const auto get = [&] {
     return cache.get_or_generate(
         std::string_view("k"),
         [&] {
@@ -139,10 +139,10 @@ TEST(MemoCache, HitReturnsSameObjectAndSkipsKeyMaterialization) {
         },
         [] { return 7; });
   };
-  const int& a = get();
-  const int& b = get();
-  EXPECT_EQ(&a, &b);
-  EXPECT_EQ(a, 7);
+  const auto a = get();
+  const auto b = get();
+  EXPECT_EQ(a, b);
+  EXPECT_EQ(*a, 7);
   EXPECT_EQ(keys_built, 1);  // the hit path never built the owning key
 }
 
@@ -159,8 +159,54 @@ TEST(MemoCache, GeneratorFailureIsRetriable) {
   };
   EXPECT_THROW(get(), std::runtime_error);
   EXPECT_EQ(cache.entries(), 0u);
-  EXPECT_EQ(get(), 99);
+  EXPECT_EQ(*get(), 99);
   EXPECT_EQ(cache.entries(), 1u);
+}
+
+// drop() racing lookups: every thread keeps reading the value it got
+// while others drop and regenerate the same keys, so a drop that freed a
+// value still in use shows up under ASan/TSan (test_exec_tsan).
+TEST(MemoCache, DropNeverFreesAValueInUse) {
+  ConcurrentMemoCache<int, std::vector<int>> cache;
+  constexpr int kKeys = 4;
+  std::atomic<std::size_t> generations{0};
+  const auto get = [&](int key) {
+    return cache.get_or_generate(
+        key, [&] { return key; },
+        [&] {
+          generations.fetch_add(1);
+          return std::vector<int>(64, key);
+        });
+  };
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 8; ++t) {
+    threads.emplace_back([&, t] {
+      for (int iter = 0; iter < 200; ++iter) {
+        const int key = (t + iter) % kKeys;
+        const auto held = get(key);
+        if ((t + iter) % 3 == 0) cache.drop(key);
+        const auto again = get(key);
+        for (const auto* v : {held.get(), again.get()}) {
+          ASSERT_EQ(v->size(), 64u);
+          for (const int x : *v) ASSERT_EQ(x, key);
+        }
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(cache.entries(), generations.load());
+  EXPECT_GT(generations.load(), static_cast<std::size_t>(kKeys))
+      << "drops should have forced regenerations";
+
+  // A dropped key regenerates on its next request; holders keep theirs.
+  const auto held = get(0);
+  const std::size_t before = cache.entries();
+  cache.drop(0);
+  cache.drop(0);  // dropping an absent key is a no-op
+  const auto fresh = get(0);
+  EXPECT_EQ(cache.entries(), before + 1);
+  EXPECT_NE(held, fresh);
+  EXPECT_EQ(*held, *fresh);
 }
 
 TEST(Telemetry, CountersAccumulateAndSnapshotDiffs) {

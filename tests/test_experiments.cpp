@@ -30,9 +30,9 @@ TEST(Harness, GainPct) {
 TEST(Harness, TraceCacheMemoizesPerKernelAndOptions) {
   TraceCache cache;
   const auto& k = workloads::find_kernel("trisolv");
-  const cpu::Trace& a = cache.get(k, workloads::CodegenOptions::none());
-  const cpu::Trace& b = cache.get(k, workloads::CodegenOptions::none());
-  EXPECT_EQ(&a, &b);
+  const auto a = cache.get(k, workloads::CodegenOptions::none());
+  const auto b = cache.get(k, workloads::CodegenOptions::none());
+  EXPECT_EQ(a, b);
   EXPECT_EQ(cache.entries(), 1u);
   cache.get(k, workloads::CodegenOptions::all());
   EXPECT_EQ(cache.entries(), 2u);

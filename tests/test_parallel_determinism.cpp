@@ -1,15 +1,21 @@
 // The parallel experiment engine's correctness contract: every figure
 // function produces byte-identical output at --jobs=1 (the historical
-// serial path) and --jobs=8, and the concurrent TraceCache generates each
-// trace exactly once no matter how many threads request it.
+// serial path) and --jobs=8, the concurrent TraceCache generates each
+// trace exactly once no matter how many threads request it, and run_grid
+// frees each trace after its last grid point without ever regenerating
+// one.
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "sttsim/exec/parallel_executor.hpp"
+#include "sttsim/exec/request.hpp"
+#include "sttsim/exec/telemetry.hpp"
 #include "sttsim/experiments/figures.hpp"
 #include "sttsim/experiments/harness.hpp"
 #include "sttsim/report/figure.hpp"
@@ -81,13 +87,13 @@ TEST(TraceCacheConcurrency, ManyThreadsOneGenerationPerKey) {
   const workloads::CodegenOptions base = workloads::CodegenOptions::none();
   const workloads::CodegenOptions full = workloads::CodegenOptions::all();
   std::vector<std::thread> threads;
-  std::vector<const cpu::Trace*> seen(8 * 4, nullptr);
+  std::vector<std::shared_ptr<const cpu::Trace>> seen(8 * 4);
   for (int t = 0; t < 8; ++t) {
     threads.emplace_back([&, t] {
       for (int i = 0; i < 4; ++i) {
         const auto& kernel = kernels[static_cast<std::size_t>(i) % 2];
         const auto& opts = (i / 2 == 0) ? base : full;
-        seen[static_cast<std::size_t>(t * 4 + i)] = &cache.get(kernel, opts);
+        seen[static_cast<std::size_t>(t * 4 + i)] = cache.get(kernel, opts);
       }
     });
   }
@@ -123,6 +129,83 @@ TEST(TraceCacheConcurrency, GridMatchesPerCallRuns) {
       EXPECT_EQ(grid[j][k].mem.stores, one.mem.stores);
     }
   }
+}
+
+// ---- Grid-scoped trace lifetime ------------------------------------------
+
+/// Five kernels under two codegens: ten distinct traces, more than the
+/// eight-trace window of an eight-worker pool, so the grid crosses window
+/// boundaries at --jobs=8.
+class GridTraceLifetime : public ::testing::Test {
+ protected:
+  static constexpr std::size_t kTraces = 10;
+
+  void TearDown() override {
+    exec::set_task_faults(std::nullopt);
+    exec::set_default_request(exec::CampaignRequest{});
+  }
+
+  /// Runs the grid on a fresh cache at `jobs` workers, checks the lifetime
+  /// contract, and returns the grid's bytes.
+  std::string run_checked(unsigned jobs) {
+    TraceCache cache;
+    exec::Telemetry& telemetry = exec::Telemetry::instance();
+    const exec::TelemetrySnapshot before = telemetry.snapshot();
+    const auto grid =
+        at_jobs(jobs, [&] { return run_grid(cache, kernels_, jobs_); });
+    const exec::TelemetrySnapshot delta = telemetry.snapshot() - before;
+    EXPECT_EQ(cache.entries(), kTraces)
+        << "each (kernel, codegen) is generated exactly once per grid";
+    EXPECT_EQ(delta.traces_generated, kTraces);
+    EXPECT_EQ(delta.simulations, jobs_.size() * kernels_.size());
+    // No trace the grid used is still resident: asking for each again
+    // generates it again.
+    for (const SuiteJob& job : jobs_) {
+      for (const workloads::Kernel& k : kernels_) {
+        cache.get_decoded(k, job.opts);
+      }
+    }
+    EXPECT_EQ(cache.entries(), 2 * kTraces)
+        << "a trace outlived the last grid point that used it";
+    std::string bytes;
+    for (const auto& row : grid) {
+      for (const sim::RunStats& s : row) bytes += sim::to_json(s) + "\n";
+    }
+    return bytes;
+  }
+
+  const std::vector<workloads::Kernel> kernels_ =
+      select_kernels({"trisolv", "durbin", "gesummv", "atax", "mvt"});
+  const std::vector<SuiteJob> jobs_ = {
+      {make_config(cpu::Dl1Organization::kSramBaseline),
+       workloads::CodegenOptions::none()},
+      {make_config(cpu::Dl1Organization::kNvmDropIn),
+       workloads::CodegenOptions::none()},
+      {make_config(cpu::Dl1Organization::kNvmVwb),
+       workloads::CodegenOptions::all()}};
+};
+
+TEST_F(GridTraceLifetime, WindowedGridIsJobCountInvariantAndFreesEveryTrace) {
+  EXPECT_EQ(run_checked(1), run_checked(8));
+}
+
+// Every task flakes once and is retried. A retried point must count its
+// trace down only once: a double count would drop the trace early and the
+// grid's later points would generate it a second time.
+TEST_F(GridTraceLifetime, TransientRetriesNeitherDoubleReleaseNorRegenerate) {
+  const std::string clean = run_checked(8);
+  exec::TaskFaults faults;
+  faults.seed = 9;
+  faults.transient_ppm = 1000000;
+  faults.transient_failures = 1;
+  exec::set_task_faults(faults);
+  exec::CampaignRequest request;
+  request.retry.max_retries = 2;
+  request.retry.base_delay_ms = 1;
+  request.retry.max_delay_ms = 2;
+  exec::set_default_request(request);
+  EXPECT_EQ(run_checked(8), clean);
+  EXPECT_EQ(run_checked(1), clean);
 }
 
 }  // namespace

@@ -16,6 +16,7 @@
 #include <functional>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include <fcntl.h>
@@ -512,6 +513,100 @@ TEST(SimulationDigest, StableAndSensitiveToEveryInput) {
   edited = cfg;
   edited.stt.write_latency_ns *= 2.0;
   EXPECT_NE(d, experiments::simulation_digest("gemm", none, edited));
+}
+
+/// Converts to any member type: T{AnyField{}...} compiles exactly up to
+/// T's member count, which field_count finds.
+struct AnyField {
+  template <typename T>
+  operator T() const;  // NOLINT: implicit on purpose; never called
+};
+
+template <typename T, typename... Fields>
+constexpr std::size_t field_count() {
+  if constexpr (requires { T{Fields{}..., AnyField{}}; }) {
+    return field_count<T, Fields..., AnyField>();
+  } else {
+    return sizeof...(Fields);
+  }
+}
+
+/// Bumps one field: the next enumerator, a flipped bool, or +1.
+struct Perturb {
+  template <typename T>
+  void operator()(T& field) const {
+    if constexpr (std::is_enum_v<T>) {
+      field = static_cast<T>(static_cast<int>(field) + 1);
+    } else if constexpr (std::is_same_v<T, bool>) {
+      field = !field;
+    } else {
+      field = static_cast<T>(field + 1);
+    }
+  }
+};
+
+// The digest-completeness tripwire. for_each_config_field and
+// for_each_fault_field drive hash_system_config; perturbing any one field
+// they visit must re-key the point. The member counts of the config
+// structs are pinned against the visited counts, so a field added to a
+// struct but not to the visitors fails here rather than turning into
+// stale memo hits.
+TEST(SimulationDigest, EveryVisitedFieldReKeysThePoint) {
+  cpu::SystemConfig faulted =
+      experiments::make_config(cpu::Dl1Organization::kNvmVwb);
+  faulted.faults.enabled = true;
+  const workloads::CodegenOptions none = workloads::CodegenOptions::none();
+  const std::uint64_t base =
+      experiments::simulation_digest("gemm", none, faulted);
+
+  const auto check_each = [&](const char* group, auto for_each) {
+    std::size_t n = 0;
+    for_each(faulted, [&](const auto&) { ++n; });
+    for (std::size_t victim = 0; victim < n; ++victim) {
+      cpu::SystemConfig edited = faulted;
+      std::size_t i = 0;
+      for_each(edited, [&](auto& field) {
+        if (i++ == victim) Perturb{}(field);
+      });
+      EXPECT_NE(base, experiments::simulation_digest("gemm", none, edited))
+          << group << " field #" << victim << " is not in the digest";
+    }
+    return n;
+  };
+  const std::size_t config_fields =
+      check_each("config", [](auto& c, auto&& visit) {
+        experiments::for_each_config_field(c, visit);
+      });
+  const std::size_t fault_fields =
+      check_each("fault", [](auto& c, auto&& visit) {
+        experiments::for_each_fault_field(c, visit);
+      });
+
+  // SystemConfig holds five structs (sram, stt, l2, faults, ecc); every
+  // technology field but `label` and every fault field but `enabled` (which
+  // reaches the digest through faults_active()) is visited.
+  EXPECT_EQ(config_fields, field_count<cpu::SystemConfig>() - 5 +
+                               2 * (field_count<tech::TechnologyParams>() - 1) +
+                               field_count<mem::L2Config>())
+      << "a SystemConfig, TechnologyParams or L2Config field is missing from "
+         "for_each_config_field";
+  EXPECT_EQ(fault_fields, field_count<reliability::FaultConfig>() - 1 +
+                              field_count<reliability::EccConfig>())
+      << "a FaultConfig or EccConfig field is missing from "
+         "for_each_fault_field";
+}
+
+// The visitor-driven digest hashes the same byte stream as the hand-listed
+// one it replaced, so result stores written before it stay warm.
+TEST(SimulationDigest, PinnedValuesKeepExistingStoresWarm) {
+  cpu::SystemConfig cfg =
+      experiments::make_config(cpu::Dl1Organization::kNvmVwb);
+  const workloads::CodegenOptions none = workloads::CodegenOptions::none();
+  EXPECT_EQ(experiments::simulation_digest("gemm", none, cfg),
+            0x0cd8492c137569b9ULL);
+  cfg.faults.enabled = true;
+  EXPECT_EQ(experiments::simulation_digest("gemm", none, cfg),
+            0x5f8b3b679ef73ad3ULL);
 }
 
 TEST(SimulationDigest, FaultCampaignFoldsIntoTheKeyOnlyWhenActive) {

@@ -766,7 +766,7 @@ TEST(TraceStoreIntegration, StoredTraceDecodesToIdenticalWorkload) {
 
   exec::set_trace_store(nullptr);
   experiments::TraceCache ref_cache;
-  const cpu::DecodedTrace& reference = ref_cache.get_decoded(kernel, opts);
+  const cpu::DecodedTrace& reference = *ref_cache.get_decoded(kernel, opts);
 
   {
     ScopedTraceStore store(path);
@@ -775,15 +775,15 @@ TEST(TraceStoreIntegration, StoredTraceDecodesToIdenticalWorkload) {
   }
   ScopedTraceStore store(path);
   experiments::TraceCache cache;
-  const cpu::DecodedTrace& warm = cache.get_decoded(kernel, opts);
+  const cpu::DecodedTrace& warm = *cache.get_decoded(kernel, opts);
   ASSERT_EQ(warm.ops.size(), reference.ops.size());
   EXPECT_EQ(std::memcmp(warm.ops.data(), reference.ops.data(),
                         warm.ops.size() * sizeof(cpu::DecodedOp)),
             0);
   EXPECT_EQ(warm.store_values, reference.store_values);
   // The raw-trace view reassembles identically from the stored form too.
-  const cpu::Trace& raw = cache.get(kernel, opts);
-  const cpu::Trace& ref_raw = ref_cache.get(kernel, opts);
+  const cpu::Trace& raw = *cache.get(kernel, opts);
+  const cpu::Trace& ref_raw = *ref_cache.get(kernel, opts);
   ASSERT_EQ(raw.size(), ref_raw.size());
   std::remove(path.c_str());
 }

@@ -321,7 +321,7 @@ int run(const CliOptions& o) {
     // directly (and persists it when --trace-store is active); a warm
     // store serves the compressed blob with zero generation.
     experiments::TraceCache cache;
-    trace = cache.get(workloads::find_kernel(o.kernel), o.codegen);
+    trace = *cache.get(workloads::find_kernel(o.kernel), o.codegen);
   } else {
     trace = cpu::read_trace_file(o.trace_in);
   }
