@@ -2,8 +2,8 @@
 //
 // Usage of every fig binary:
 //   figN [--csv] [--kernels=a,b,c] [--jobs=N]
-//        [--store=PATH] [--no-store] [--deadline=SECS] [--retries=N]
-//        [--request-priority=P]
+//        [--store=PATH] [--no-store] [--trace-store=PATH]
+//        [--no-trace-store] [--deadline=SECS]
 // With no arguments the full 14-kernel suite is run and a fixed-width table
 // (matching the paper figure's bars, plus the AVERAGE bar) is printed.
 // --jobs sets the worker-pool width of the parallel experiment engine
@@ -21,12 +21,10 @@
 // for one run. Figure outputs are byte-identical cold vs warm vs disabled.
 // --deadline=SECS gives each grid a wall-clock budget: points still pending
 // when it expires are reported timed-out instead of run (0 = none, the
-// default). --retries=N retries transient task failures up to N times with
-// exponential backoff. --request-priority=P tags this campaign's tasks for
-// schedulers shared between requests (higher drains first). Every bench
-// installs the graceful SIGINT handler: the first Ctrl-C drains in-flight
-// points (completed ones stay persisted in the store, so a re-run resumes
-// where it left off); a second Ctrl-C kills the process.
+// default). Every bench installs the graceful SIGINT handler: the first
+// Ctrl-C drains in-flight points (completed ones stay persisted in the
+// store, so a re-run resumes where it left off) and exits 130; a second
+// Ctrl-C kills the process.
 #pragma once
 
 #include <cstdio>
@@ -37,8 +35,8 @@
 #include <vector>
 
 #include "sttsim/cpu/trace_io.hpp"
+#include "sttsim/exec/interrupt.hpp"
 #include "sttsim/exec/parallel_executor.hpp"
-#include "sttsim/exec/request.hpp"
 #include "sttsim/exec/result_store.hpp"
 #include "sttsim/exec/trace_store.hpp"
 #include "sttsim/report/figure.hpp"
@@ -53,8 +51,6 @@ struct Options {
   std::string store;   ///< result-store path; "" = memoization disabled
   std::string trace_store;  ///< trace-store path; "" = persistence disabled
   double deadline_s = 0.0;  ///< wall-clock budget per grid; 0 = none
-  unsigned retries = 0;     ///< transient-failure retries per task
-  int priority = 0;         ///< request priority (higher drains first)
 };
 
 /// Opens (creating if needed) the persistent result store at `path` and
@@ -95,11 +91,6 @@ inline Options parse(int argc, char** argv) {
       o.jobs = static_cast<unsigned>(std::strtoul(arg.c_str() + 7, nullptr, 10));
     } else if (arg.rfind("--deadline=", 0) == 0) {
       o.deadline_s = std::strtod(arg.c_str() + 11, nullptr);
-    } else if (arg.rfind("--retries=", 0) == 0) {
-      o.retries =
-          static_cast<unsigned>(std::strtoul(arg.c_str() + 10, nullptr, 10));
-    } else if (arg.rfind("--request-priority=", 0) == 0) {
-      o.priority = static_cast<int>(std::strtol(arg.c_str() + 19, nullptr, 10));
     } else if (arg.rfind("--kernels=", 0) == 0) {
       std::string list = arg.substr(10);
       std::size_t pos = 0;
@@ -115,7 +106,7 @@ inline Options parse(int argc, char** argv) {
                    "usage: %s [--csv] [--kernels=a,b,c] [--jobs=N] "
                    "[--store=PATH] [--no-store] "
                    "[--trace-store=PATH] [--no-trace-store] "
-                   "[--deadline=SECS] [--retries=N] [--request-priority=P]\n",
+                   "[--deadline=SECS]\n",
                    argv[0]);
       std::exit(2);
     }
@@ -135,11 +126,7 @@ inline Options parse(int argc, char** argv) {
   }
   if (no_trace_store) o.trace_store.clear();
   exec::set_default_jobs(o.jobs);
-  exec::CampaignRequest request;
-  request.priority = o.priority;
-  request.deadline_s = o.deadline_s;
-  request.retry.max_retries = o.retries;
-  exec::set_default_request(request);
+  exec::set_default_deadline(o.deadline_s);
   exec::install_interrupt_handler();
   if (!o.store.empty()) open_result_store(o.store);
   if (!o.trace_store.empty()) open_trace_store(o.trace_store);
@@ -156,15 +143,15 @@ inline int print_figure(const report::FigureData& fig, const Options& o) {
 /// Parses flags, runs the bench body, and turns campaign errors into clean
 /// exits instead of std::terminate: an interrupted campaign (first Ctrl-C
 /// drains, completed points are persisted) exits 130 like a shell SIGINT,
-/// any other error — a deterministic task failure, a result-store open
-/// diagnostic — prints and exits 1.
+/// any other error — a failed grid point, a result-store open diagnostic —
+/// prints and exits 1.
 template <typename Body>
 int guarded_main(int argc, char** argv, Body body) {
   try {
     return body(parse(argc, argv));
-  } catch (const exec::TaskError& e) {
+  } catch (const exec::Interrupted& e) {
     std::fprintf(stderr, "sttsim: %s\n", e.what());
-    return e.kind() == exec::TaskErrorKind::kCancelled ? 130 : 1;
+    return 130;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "sttsim: %s\n", e.what());
     return 1;

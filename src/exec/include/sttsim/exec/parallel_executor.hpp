@@ -58,18 +58,15 @@ class ParallelExecutor {
   }
 
   /// Runs `fn(0) .. fn(count-1)` across the pool and returns the results
-  /// in input order. If any invocation throws, the lowest-index exception
-  /// is rethrown after all submitted tasks finished or were drained.
+  /// in input order. Every invocation runs, at any width (with `jobs() ==
+  /// 1`, inline in input order); if any throws, the lowest-index exception
+  /// is rethrown once all of them have finished.
   template <typename F>
   auto map(std::size_t count, F&& fn)
       -> std::vector<std::invoke_result_t<F&, std::size_t>> {
     using R = std::invoke_result_t<F&, std::size_t>;
     std::vector<R> out;
     out.reserve(count);
-    if (jobs_ == 1) {
-      for (std::size_t i = 0; i < count; ++i) out.push_back(fn(i));
-      return out;
-    }
     std::vector<std::future<R>> futures;
     futures.reserve(count);
     for (std::size_t i = 0; i < count; ++i) {

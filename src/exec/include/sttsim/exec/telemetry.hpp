@@ -11,37 +11,54 @@
 
 namespace sttsim::exec {
 
-struct TelemetrySnapshot {
-  std::uint64_t simulations = 0;      ///< completed System::run calls
-  std::uint64_t trace_ops = 0;        ///< trace operations replayed
-  std::uint64_t traces_generated = 0; ///< kernel traces generated (not hits)
-  std::uint64_t memo_hits = 0;        ///< grid points served from the
-                                      ///< persistent result store
-  std::uint64_t memo_misses = 0;      ///< grid points simulated because the
-                                      ///< store had no (valid) record
-  std::uint64_t tasks_retried = 0;    ///< transient-failure retry attempts
-  std::uint64_t tasks_timed_out = 0;  ///< tasks past their request deadline
-  std::uint64_t tasks_cancelled = 0;  ///< tasks skipped/drained on cancel
-  std::uint64_t trace_store_hits = 0;   ///< traces decoded from the store
-  std::uint64_t trace_store_misses = 0; ///< store probes that regenerated
-  std::uint64_t generate_ns = 0;      ///< wall ns synthesizing traces
-  std::uint64_t decode_ns = 0;        ///< wall ns deserializing/decompressing
-                                      ///< stored traces (warm path)
-  std::uint64_t replay_ns = 0;        ///< wall ns inside System::run
-
-  TelemetrySnapshot operator-(const TelemetrySnapshot& rhs) const {
-    return {simulations - rhs.simulations, trace_ops - rhs.trace_ops,
-            traces_generated - rhs.traces_generated,
-            memo_hits - rhs.memo_hits, memo_misses - rhs.memo_misses,
-            tasks_retried - rhs.tasks_retried,
-            tasks_timed_out - rhs.tasks_timed_out,
-            tasks_cancelled - rhs.tasks_cancelled,
-            trace_store_hits - rhs.trace_store_hits,
-            trace_store_misses - rhs.trace_store_misses,
-            generate_ns - rhs.generate_ns, decode_ns - rhs.decode_ns,
-            replay_ns - rhs.replay_ns};
-  }
+/// The engine's counters, declared once: TelemetrySnapshot holds them as
+/// plain integers, Telemetry as atomics.
+template <typename T>
+struct TelemetryCounters {
+  T simulations{};      ///< completed System::run calls
+  T trace_ops{};        ///< trace operations replayed
+  T traces_generated{}; ///< kernel traces generated (not hits)
+  T memo_hits{};        ///< grid points served from the persistent result
+                        ///< store
+  T memo_misses{};      ///< grid points simulated because the store had no
+                        ///< (valid) record
+  T tasks_timed_out{};  ///< grid points skipped past their grid's deadline
+  T tasks_cancelled{};  ///< grid points skipped after an interrupt
+  T trace_store_hits{};   ///< traces decoded from the store
+  T trace_store_misses{}; ///< store probes that regenerated
+  T generate_ns{};      ///< wall ns synthesizing traces
+  T decode_ns{};        ///< wall ns deserializing/decompressing stored
+                        ///< traces (warm path)
+  T replay_ns{};        ///< wall ns inside System::run
 };
+
+/// Calls `f` once per counter with that counter of every `c`, in
+/// declaration order — the single field list behind snapshot(), reset()
+/// and operator-.
+template <typename F, typename... Counters>
+void for_each_counter(F&& f, Counters&... c) {
+  f(c.simulations...);
+  f(c.trace_ops...);
+  f(c.traces_generated...);
+  f(c.memo_hits...);
+  f(c.memo_misses...);
+  f(c.tasks_timed_out...);
+  f(c.tasks_cancelled...);
+  f(c.trace_store_hits...);
+  f(c.trace_store_misses...);
+  f(c.generate_ns...);
+  f(c.decode_ns...);
+  f(c.replay_ns...);
+}
+
+using TelemetrySnapshot = TelemetryCounters<std::uint64_t>;
+
+inline TelemetrySnapshot operator-(TelemetrySnapshot lhs,
+                                   const TelemetrySnapshot& rhs) {
+  for_each_counter([](std::uint64_t& l, std::uint64_t r) { l -= r; }, lhs,
+                   rhs);
+  return lhs;
+}
 
 /// Thread-safe global counters (atomics; cheap enough for per-run bumps).
 class Telemetry {
@@ -49,87 +66,43 @@ class Telemetry {
   static Telemetry& instance();
 
   void count_simulation(std::uint64_t ops_replayed) {
-    simulations_.fetch_add(1, std::memory_order_relaxed);
-    trace_ops_.fetch_add(ops_replayed, std::memory_order_relaxed);
+    add(live_.simulations, 1);
+    add(live_.trace_ops, ops_replayed);
   }
-  void count_trace_generated() {
-    traces_generated_.fetch_add(1, std::memory_order_relaxed);
-  }
-  void count_memo_hit() { memo_hits_.fetch_add(1, std::memory_order_relaxed); }
-  void count_memo_miss() {
-    memo_misses_.fetch_add(1, std::memory_order_relaxed);
-  }
-  void count_task_retried() {
-    tasks_retried_.fetch_add(1, std::memory_order_relaxed);
-  }
-  void count_task_timed_out() {
-    tasks_timed_out_.fetch_add(1, std::memory_order_relaxed);
-  }
-  void count_task_cancelled() {
-    tasks_cancelled_.fetch_add(1, std::memory_order_relaxed);
-  }
-  void count_trace_store_hit() {
-    trace_store_hits_.fetch_add(1, std::memory_order_relaxed);
-  }
-  void count_trace_store_miss() {
-    trace_store_misses_.fetch_add(1, std::memory_order_relaxed);
-  }
-  void count_generate_ns(std::uint64_t ns) {
-    generate_ns_.fetch_add(ns, std::memory_order_relaxed);
-  }
-  void count_decode_ns(std::uint64_t ns) {
-    decode_ns_.fetch_add(ns, std::memory_order_relaxed);
-  }
-  void count_replay_ns(std::uint64_t ns) {
-    replay_ns_.fetch_add(ns, std::memory_order_relaxed);
-  }
+  void count_trace_generated() { add(live_.traces_generated, 1); }
+  void count_memo_hit() { add(live_.memo_hits, 1); }
+  void count_memo_miss() { add(live_.memo_misses, 1); }
+  void count_task_timed_out() { add(live_.tasks_timed_out, 1); }
+  void count_task_cancelled() { add(live_.tasks_cancelled, 1); }
+  void count_trace_store_hit() { add(live_.trace_store_hits, 1); }
+  void count_trace_store_miss() { add(live_.trace_store_misses, 1); }
+  void count_generate_ns(std::uint64_t ns) { add(live_.generate_ns, ns); }
+  void count_decode_ns(std::uint64_t ns) { add(live_.decode_ns, ns); }
+  void count_replay_ns(std::uint64_t ns) { add(live_.replay_ns, ns); }
 
   TelemetrySnapshot snapshot() const {
-    return {simulations_.load(std::memory_order_relaxed),
-            trace_ops_.load(std::memory_order_relaxed),
-            traces_generated_.load(std::memory_order_relaxed),
-            memo_hits_.load(std::memory_order_relaxed),
-            memo_misses_.load(std::memory_order_relaxed),
-            tasks_retried_.load(std::memory_order_relaxed),
-            tasks_timed_out_.load(std::memory_order_relaxed),
-            tasks_cancelled_.load(std::memory_order_relaxed),
-            trace_store_hits_.load(std::memory_order_relaxed),
-            trace_store_misses_.load(std::memory_order_relaxed),
-            generate_ns_.load(std::memory_order_relaxed),
-            decode_ns_.load(std::memory_order_relaxed),
-            replay_ns_.load(std::memory_order_relaxed)};
+    TelemetrySnapshot s;
+    for_each_counter(
+        [](std::uint64_t& out, const Counter& in) {
+          out = in.load(std::memory_order_relaxed);
+        },
+        s, live_);
+    return s;
   }
 
   void reset() {
-    simulations_.store(0, std::memory_order_relaxed);
-    trace_ops_.store(0, std::memory_order_relaxed);
-    traces_generated_.store(0, std::memory_order_relaxed);
-    memo_hits_.store(0, std::memory_order_relaxed);
-    memo_misses_.store(0, std::memory_order_relaxed);
-    tasks_retried_.store(0, std::memory_order_relaxed);
-    tasks_timed_out_.store(0, std::memory_order_relaxed);
-    tasks_cancelled_.store(0, std::memory_order_relaxed);
-    trace_store_hits_.store(0, std::memory_order_relaxed);
-    trace_store_misses_.store(0, std::memory_order_relaxed);
-    generate_ns_.store(0, std::memory_order_relaxed);
-    decode_ns_.store(0, std::memory_order_relaxed);
-    replay_ns_.store(0, std::memory_order_relaxed);
+    for_each_counter(
+        [](Counter& c) { c.store(0, std::memory_order_relaxed); }, live_);
   }
 
  private:
-  std::atomic<std::uint64_t> simulations_{0};
-  std::atomic<std::uint64_t> trace_ops_{0};
-  std::atomic<std::uint64_t> traces_generated_{0};
-  std::atomic<std::uint64_t> memo_hits_{0};
-  std::atomic<std::uint64_t> memo_misses_{0};
-  std::atomic<std::uint64_t> tasks_retried_{0};
-  std::atomic<std::uint64_t> tasks_timed_out_{0};
-  std::atomic<std::uint64_t> tasks_cancelled_{0};
-  std::atomic<std::uint64_t> trace_store_hits_{0};
-  std::atomic<std::uint64_t> trace_store_misses_{0};
-  std::atomic<std::uint64_t> generate_ns_{0};
-  std::atomic<std::uint64_t> decode_ns_{0};
-  std::atomic<std::uint64_t> replay_ns_{0};
+  using Counter = std::atomic<std::uint64_t>;
+
+  static void add(Counter& c, std::uint64_t n) {
+    c.fetch_add(n, std::memory_order_relaxed);
+  }
+
+  TelemetryCounters<Counter> live_;
 };
 
 }  // namespace sttsim::exec

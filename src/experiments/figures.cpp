@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "sttsim/exec/interrupt.hpp"
 #include "sttsim/exec/parallel_executor.hpp"
 #include "sttsim/exec/telemetry.hpp"
 #include "sttsim/experiments/harness.hpp"
@@ -421,10 +422,15 @@ std::string lifetime_report(const KernelFilter& filter) {
   // report fans whole per-kernel jobs (run + profile + row formatting)
   // across the pool rather than going through run_grid. Each trace serves
   // exactly one job, so the job drops it from the cache and its memory
-  // goes when the job's handle does.
+  // goes when the job's handle does. Like run_grid, a job that has not
+  // started when SIGINT arrives is skipped, and the report then throws.
   exec::ParallelExecutor pool;
   const std::vector<std::vector<std::string>> rows =
       pool.map(kernels.size(), [&](std::size_t i) {
+        if (exec::interrupted()) {
+          exec::Telemetry::instance().count_task_cancelled();
+          return std::vector<std::string>{};
+        }
         const Kernel& k = kernels[i];
         const auto trace = cache.get_decoded(k, base);
         cache.drop(k, base);
@@ -444,6 +450,9 @@ std::string lifetime_report(const KernelFilter& filter) {
             reliability::format_lifetime(
                 reliability::project_lifetime_leveled(wear, pram))};
       });
+  if (exec::interrupted()) {
+    throw exec::Interrupted("lifetime report interrupted");
+  }
   report::TableBuilder t({"kernel", "max frame writes/s", "STT-MRAM (1e16)",
                           "ReRAM (1e8)", "PRAM (1e6)",
                           "PRAM + ideal levelling"});

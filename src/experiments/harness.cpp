@@ -10,8 +10,8 @@
 
 #include "sttsim/cpu/decoded_trace.hpp"
 #include "sttsim/cpu/trace_io.hpp"
+#include "sttsim/exec/interrupt.hpp"
 #include "sttsim/exec/parallel_executor.hpp"
-#include "sttsim/exec/request.hpp"
 #include "sttsim/exec/result_store.hpp"
 #include "sttsim/exec/telemetry.hpp"
 #include "sttsim/exec/trace_store.hpp"
@@ -289,73 +289,71 @@ void store_append(exec::ResultStore* store, std::uint64_t digest,
   store->append(digest, payload);
 }
 
-/// Post-request policy. Task-level outcomes degrade gracefully: timed-out
-/// and cancelled points are skipped-and-reported (their result slots keep
-/// default RunStats; the telemetry counters and the grid summary carry the
-/// tally). Real failures keep the historical abort semantics — the
-/// lowest-index failed task's exception is rethrown after every task has
-/// drained — and an interrupt (SIGINT) surfaces as TaskError{kCancelled}
-/// once in-flight tasks have finished and appended their records, so a
-/// re-run resumes from the store.
-template <typename T>
-void finish_request(const exec::RequestResult<T>& result) {
-  for (const exec::TaskResult<T>& t : result.tasks) {
-    if (t.outcome.status == exec::TaskStatus::kFailed && t.outcome.exception) {
-      std::rethrow_exception(t.outcome.exception);
-    }
-  }
-  if (result.interrupted) {
-    throw exec::TaskError(
-        exec::TaskErrorKind::kCancelled,
-        "campaign interrupted: completed points are persisted; re-running "
-        "the same grid completes only the missing ones");
-  }
-}
-
-/// Runs `points` as one scheduler task each, in windows of as many traces
-/// as the pool has workers (window_by_trace), and scatters results into
-/// out[j][k]. Completed misses append to the store from inside their task,
-/// so an interrupted campaign keeps every point it finished. The task that
+/// Runs `points` as one pool task each, in windows of as many traces as the
+/// pool has workers (window_by_trace), and scatters results into out[j][k].
+/// Completed misses append to the store from inside their task, so an
+/// interrupted campaign keeps every point it finished. The task that
 /// completes a trace's last point drops the trace from `cache`; a point
-/// that fails, times out or is cancelled never counts down, so its trace
-/// simply stays cached.
+/// that throws or is skipped never counts down, so its trace simply stays
+/// cached.
+///
+/// Each task checks the interrupt flag, then the grid deadline, before it
+/// starts: a point skipped by either keeps default RunStats and is counted
+/// (skip-and-report). A throwing point aborts the grid with the
+/// lowest-index exception once every point has run; an interrupt surfaces
+/// as Interrupted after the points in flight have appended their records.
 void run_points(TraceCache& cache,
                 const std::vector<workloads::Kernel>& kernels,
                 const std::vector<SuiteJob>& jobs,
                 std::vector<GridPoint> points, std::size_t n_traces,
                 exec::ResultStore* store,
                 std::vector<std::vector<sim::RunStats>>& out) {
-  exec::RequestScheduler scheduler;
-  window_by_trace(points, scheduler.jobs(), n_traces);
+  exec::ParallelExecutor pool;
+  window_by_trace(points, pool.jobs(), n_traces);
   std::vector<std::atomic<std::size_t>> remaining(n_traces);
   for (const GridPoint& p : points) {
     remaining[p.trace].fetch_add(1, std::memory_order_relaxed);
   }
-  const auto result = scheduler.run(
-      exec::default_request(), points.size(),
-      [&](std::size_t i, const exec::CancellationToken&) {
+  exec::Telemetry& telemetry = exec::Telemetry::instance();
+  const double budget_s = exec::default_deadline();
+  const auto deadline =
+      std::chrono::steady_clock::now() +
+      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+          std::chrono::duration<double>(budget_s));
+  const std::vector<sim::RunStats> results =
+      pool.map(points.size(), [&](std::size_t i) {
+        if (exec::interrupted()) {
+          telemetry.count_task_cancelled();
+          return sim::RunStats{};
+        }
+        if (budget_s > 0.0 && std::chrono::steady_clock::now() >= deadline) {
+          telemetry.count_task_timed_out();
+          return sim::RunStats{};
+        }
         const GridPoint& p = points[i];
         const SuiteJob& job = jobs[p.j];
         const auto trace = cache.get_decoded(kernels[p.k], job.opts);
         cpu::System system(job.config, cpu::System::kPrevalidated);
         const std::uint64_t t0 = now_ns();
         const sim::RunStats stats = system.run(*trace);
-        exec::Telemetry::instance().count_replay_ns(now_ns() - t0);
-        exec::Telemetry::instance().count_simulation(trace->size());
+        telemetry.count_replay_ns(now_ns() - t0);
+        telemetry.count_simulation(trace->size());
         store_append(store, p.digest, stats);
         // The point is complete and nothing below can throw, so it counts
-        // down exactly once, however often its task was retried.
+        // down exactly once.
         if (remaining[p.trace].fetch_sub(1, std::memory_order_acq_rel) == 1) {
           cache.drop(kernels[p.k], job.opts);
         }
         return stats;
       });
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    if (result.tasks[i].value) {
-      out[points[i].j][points[i].k] = *result.tasks[i].value;
-    }
+  if (exec::interrupted()) {
+    throw exec::Interrupted(
+        "campaign interrupted: completed points are persisted; re-running "
+        "the same grid completes only the missing ones");
   }
-  finish_request(result);
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    out[points[i].j][points[i].k] = results[i];
+  }
 }
 
 }  // namespace
@@ -428,17 +426,13 @@ std::vector<std::vector<sim::RunStats>> run_grid(
     run_points(cache, kernels, jobs, std::move(points),
                jobs.size() * n_kernels, store, out);
   }
-  // Lifecycle tally for this grid (delta over the run). The happy path —
-  // no retries, no deadline, nothing cancelled — prints exactly the
-  // historical line, byte for byte.
+  // Skip tally for this grid (delta over the run). A grid that skipped
+  // nothing prints exactly the historical line, byte for byte.
   const exec::TelemetrySnapshot delta =
       exec::Telemetry::instance().snapshot() - before;
-  char lifecycle[96] = "";
-  if (delta.tasks_retried != 0 || delta.tasks_timed_out != 0 ||
-      delta.tasks_cancelled != 0) {
-    std::snprintf(lifecycle, sizeof lifecycle,
-                  ", %llu retried, %llu timed-out, %llu cancelled",
-                  static_cast<unsigned long long>(delta.tasks_retried),
+  char skipped[64] = "";
+  if (delta.tasks_timed_out != 0 || delta.tasks_cancelled != 0) {
+    std::snprintf(skipped, sizeof skipped, ", %llu timed-out, %llu cancelled",
                   static_cast<unsigned long long>(delta.tasks_timed_out),
                   static_cast<unsigned long long>(delta.tasks_cancelled));
   }
@@ -447,10 +441,10 @@ std::vector<std::vector<sim::RunStats>> run_grid(
         stderr,
         "[sttsim] result store %s: %zu/%zu grid points warm, %zu simulated%s\n",
         store->path().c_str(), hits, jobs.size() * n_kernels, n_points,
-        lifecycle);
-  } else if (lifecycle[0] != '\0') {
+        skipped);
+  } else if (skipped[0] != '\0') {
     std::fprintf(stderr, "[sttsim] grid: %zu points%s\n",
-                 jobs.size() * n_kernels, lifecycle);
+                 jobs.size() * n_kernels, skipped);
   }
   return out;
 }

@@ -201,8 +201,8 @@ struct SuiteJob {
 /// window, so a window's first tasks synthesize (or load) its traces in
 /// parallel. The task that finishes a trace's last point drops it from
 /// `cache`, so about one window of traces is resident at a time and each
-/// trace is still generated exactly once per grid. A point that fails,
-/// times out or is cancelled leaves its trace in `cache`.
+/// trace is still generated exactly once per grid. A point that throws or
+/// is skipped leaves its trace in `cache`.
 ///
 /// When a persistent result store is active (exec::set_result_store; the
 /// benches' --store=PATH flag), every point's digest is probed up front:
@@ -217,15 +217,16 @@ struct SuiteJob {
 /// probing, so records appended by concurrent processes sharing the file
 /// count as hits too.
 ///
-/// The whole grid runs as one exec::CampaignRequest through a
-/// RequestScheduler (exec::default_request(); the benches'
-/// --deadline/--retries/--request-priority flags). Deterministic task
-/// failures rethrow the lowest-index exception; timed-out or cancelled
-/// points degrade to default RunStats in place (skip-and-report, never
-/// wedge); an interrupt (SIGINT token) throws TaskError(kCancelled) after
-/// completed points are scattered — and persisted, so re-running the same
-/// grid completes only the missing ones. With the default request and no
-/// faults the lifecycle is invisible: output stays byte-identical.
+/// Each pool task checks the interrupt flag (exec::interrupted(); the
+/// benches' SIGINT handler sets it), then the grid deadline
+/// (exec::default_deadline(); the benches' --deadline flag), before it
+/// starts: a point skipped by either keeps default RunStats and is counted
+/// as cancelled or timed-out (skip-and-report). A throwing point rethrows
+/// the lowest-index exception once every point has run. After an
+/// interrupt the points in flight finish and persist, then run_grid throws
+/// exec::Interrupted, so re-running the same grid completes only the
+/// missing ones. Without an interrupt or a deadline output stays
+/// byte-identical.
 std::vector<std::vector<sim::RunStats>> run_grid(
     TraceCache& cache, const std::vector<workloads::Kernel>& kernels,
     const std::vector<SuiteJob>& jobs);

@@ -92,14 +92,25 @@ TEST(ParallelExecutor, MapRethrowsLowestIndexException) {
   }
 }
 
+// The serial path matches the pool: every task runs, then the lowest-index
+// exception is rethrown.
 TEST(ParallelExecutor, SerialMapPropagatesException) {
   ParallelExecutor pool(1);
-  EXPECT_THROW(pool.map(3,
-                        [](std::size_t i) -> int {
-                          if (i == 1) throw std::logic_error("serial");
-                          return 0;
-                        }),
-               std::logic_error);
+  std::vector<std::size_t> ran;
+  try {
+    pool.map(4, [&](std::size_t i) -> int {
+      ran.push_back(i);
+      if (i == 1 || i == 2) {
+        throw std::logic_error("serial " + std::to_string(i));
+      }
+      return 0;
+    });
+    FAIL() << "map did not rethrow";
+  } catch (const std::logic_error& e) {
+    EXPECT_STREQ(e.what(), "serial 1");
+  }
+  EXPECT_EQ(ran, (std::vector<std::size_t>{0, 1, 2, 3}))
+      << "tasks after the throwing one must still run, in input order";
 }
 
 TEST(MemoCache, GeneratesEachKeyExactlyOnceUnderContention) {
@@ -243,6 +254,46 @@ TEST(Telemetry, MemoCountersAccumulate) {
   const TelemetrySnapshot delta = t.snapshot() - before;
   EXPECT_EQ(delta.memo_hits, 2u);
   EXPECT_EQ(delta.memo_misses, 1u);
+}
+
+// Each count_* method lands in its own named counter, the diff subtracts
+// field by field, and reset() zeroes every counter.
+TEST(Telemetry, EveryCounterSnapshotsDiffsAndResets) {
+  Telemetry& t = Telemetry::instance();
+  const TelemetrySnapshot before = t.snapshot();
+  t.count_simulation(2);
+  t.count_trace_generated();
+  for (int i = 0; i < 3; ++i) t.count_memo_hit();
+  for (int i = 0; i < 4; ++i) t.count_memo_miss();
+  for (int i = 0; i < 5; ++i) t.count_task_timed_out();
+  for (int i = 0; i < 6; ++i) t.count_task_cancelled();
+  for (int i = 0; i < 7; ++i) t.count_trace_store_hit();
+  for (int i = 0; i < 8; ++i) t.count_trace_store_miss();
+  t.count_generate_ns(9);
+  t.count_decode_ns(10);
+  t.count_replay_ns(11);
+  const TelemetrySnapshot d = t.snapshot() - before;
+  const std::vector<std::uint64_t> got = {
+      d.simulations,      d.trace_ops,        d.traces_generated,
+      d.memo_hits,        d.memo_misses,      d.tasks_timed_out,
+      d.tasks_cancelled,  d.trace_store_hits, d.trace_store_misses,
+      d.generate_ns,      d.decode_ns,        d.replay_ns};
+  EXPECT_EQ(got, (std::vector<std::uint64_t>{1, 2, 1, 3, 4, 5, 6, 7, 8, 9,
+                                             10, 11}));
+
+  t.reset();
+  std::size_t fields = 0;
+  const TelemetrySnapshot zero = t.snapshot();
+  for_each_counter(
+      [&](std::uint64_t v) {
+        EXPECT_EQ(v, 0u);
+        ++fields;
+      },
+      zero);
+  // The visitor walks every member: a counter added to TelemetryCounters
+  // but not to for_each_counter fails here.
+  EXPECT_EQ(fields, sizeof(TelemetrySnapshot) / sizeof(std::uint64_t));
+  EXPECT_EQ(fields, got.size());
 }
 
 // The grid engine's miss tasks append from pool workers while other tasks

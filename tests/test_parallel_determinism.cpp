@@ -6,15 +6,17 @@
 // one.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "sttsim/exec/interrupt.hpp"
 #include "sttsim/exec/parallel_executor.hpp"
-#include "sttsim/exec/request.hpp"
+#include "sttsim/exec/result_store.hpp"
 #include "sttsim/exec/telemetry.hpp"
 #include "sttsim/experiments/figures.hpp"
 #include "sttsim/experiments/harness.hpp"
@@ -140,10 +142,7 @@ class GridTraceLifetime : public ::testing::Test {
  protected:
   static constexpr std::size_t kTraces = 10;
 
-  void TearDown() override {
-    exec::set_task_faults(std::nullopt);
-    exec::set_default_request(exec::CampaignRequest{});
-  }
+  void TearDown() override { exec::clear_interrupt(); }
 
   /// Runs the grid on a fresh cache at `jobs` workers, checks the lifetime
   /// contract, and returns the grid's bytes.
@@ -189,23 +188,62 @@ TEST_F(GridTraceLifetime, WindowedGridIsJobCountInvariantAndFreesEveryTrace) {
   EXPECT_EQ(run_checked(1), run_checked(8));
 }
 
-// Every task flakes once and is retried. A retried point must count its
-// trace down only once: a double count would drop the trace early and the
-// grid's later points would generate it a second time.
-TEST_F(GridTraceLifetime, TransientRetriesNeitherDoubleReleaseNorRegenerate) {
-  const std::string clean = run_checked(8);
-  exec::TaskFaults faults;
-  faults.seed = 9;
-  faults.transient_ppm = 1000000;
-  faults.transient_failures = 1;
-  exec::set_task_faults(faults);
-  exec::CampaignRequest request;
-  request.retry.max_retries = 2;
-  request.retry.base_delay_ms = 1;
-  request.retry.max_delay_ms = 2;
-  exec::set_default_request(request);
-  EXPECT_EQ(run_checked(8), clean);
-  EXPECT_EQ(run_checked(1), clean);
+// The grid is interrupted when durbin's first trace is generated. A trace
+// all of whose points completed was freed; a trace with points completed
+// and points skipped stays cached, because the skipped points never count
+// it down; a trace with no completed point was never generated. The
+// result store tells completed points from skipped ones.
+TEST_F(GridTraceLifetime, InterruptedGridFreesOnlyFullyCompletedTraces) {
+  std::vector<workloads::Kernel> kernels = kernels_;
+  const auto real = kernels[1].generate_decoded;
+  kernels[1].generate_decoded = [&](const workloads::CodegenOptions& o) {
+    exec::request_interrupt();
+    return real(o);
+  };
+  const std::vector<workloads::CodegenOptions> codegens = {
+      workloads::CodegenOptions::none(), workloads::CodegenOptions::all()};
+  for (const unsigned jobs : {1u, 8u}) {
+    SCOPED_TRACE("--jobs=" + std::to_string(jobs));
+    exec::clear_interrupt();
+    const std::string path = ::testing::TempDir() +
+                             "sttsim_lifetime_interrupt" +
+                             std::to_string(jobs) + ".bin";
+    std::remove(path.c_str());
+    exec::ResultStore store(path, sim::kRunStatsBytes);
+    exec::set_result_store(&store);
+    TraceCache cache;
+    EXPECT_THROW(at_jobs(jobs, [&] { return run_grid(cache, kernels, jobs_); }),
+                 exec::Interrupted);
+    exec::set_result_store(nullptr);
+    std::size_t partial = 0;
+    for (const workloads::Kernel& kernel : kernels) {
+      for (const workloads::CodegenOptions& opts : codegens) {
+        std::size_t points = 0;
+        std::size_t completed = 0;
+        for (const SuiteJob& job : jobs_) {
+          if (!(job.opts == opts)) continue;
+          ++points;
+          std::uint8_t payload[sim::kRunStatsBytes];
+          completed += store.lookup(
+              simulation_digest(kernel.name, opts, job.config), payload);
+        }
+        const bool cached = completed != 0 && completed != points;
+        partial += cached;
+        const std::size_t generated = cache.entries();
+        cache.get_decoded(kernel, opts);
+        EXPECT_EQ(cache.entries() == generated, cached)
+            << kernel.name << " / " << opts.label() << ": " << completed
+            << " of " << points << " points completed";
+      }
+    }
+    // At one worker both trisolv points completed (trace freed), durbin's
+    // first point raised the interrupt and completed, and its second was
+    // skipped (trace cached); no other trace was generated.
+    if (jobs == 1) {
+      EXPECT_EQ(partial, 1u);
+    }
+    std::remove(path.c_str());
+  }
 }
 
 }  // namespace

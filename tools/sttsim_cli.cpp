@@ -22,9 +22,6 @@
 //          trace generated by a previous run is deserialized from disk
 //          instead of re-synthesized; --no-trace-store ignores the
 //          STTSIM_TRACE_STORE environment default)
-//          --deadline=SECS --retries=N --request-priority=P (request
-//          lifecycle defaults for any engine-driven work: wall-clock
-//          budget, transient-failure retries, campaign priority)
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -37,7 +34,6 @@
 #include "sttsim/cpu/system.hpp"
 #include "sttsim/cpu/trace_io.hpp"
 #include "sttsim/exec/parallel_executor.hpp"
-#include "sttsim/exec/request.hpp"
 #include "sttsim/exec/result_store.hpp"
 #include "sttsim/exec/telemetry.hpp"
 #include "sttsim/exec/trace_store.hpp"
@@ -80,9 +76,7 @@ struct CliOptions {
       "          [--faults=SEED[:PPM[:DOUBLEPCT]]] [--ecc=CORR[:REFILL]]\n"
       "          [--baseline-penalty] [--check-oracle] [--jobs=N]\n"
       "          [--store=PATH] [--no-store] [--trace-store=PATH]\n"
-      "          [--no-trace-store] [--deadline=SECS] "
-      "[--retries=N]\n"
-      "          [--request-priority=P] [--csv|--json]\n"
+      "          [--no-trace-store] [--csv|--json]\n"
       "(a comma-separated --org list runs each of them on the same trace\n"
       " and reports them side by side;\n"
       " --faults enables deterministic retention-fault injection on NVM\n"
@@ -167,7 +161,6 @@ CliOptions parse_args(int argc, char** argv) {
   CliOptions o;
   bool no_store = false;
   bool no_trace_store = false;
-  exec::CampaignRequest request;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     std::string val;
@@ -235,12 +228,6 @@ CliOptions parse_args(int argc, char** argv) {
       }
     } else if (take("--jobs=")) {
       exec::set_default_jobs(static_cast<unsigned>(std::stoul(val)));
-    } else if (take("--deadline=")) {
-      request.deadline_s = std::stod(val);
-    } else if (take("--retries=")) {
-      request.retry.max_retries = static_cast<unsigned>(std::stoul(val));
-    } else if (take("--request-priority=")) {
-      request.priority = std::stoi(val);
     } else if (take("--store=")) {
       o.store = val;
     } else if (arg == "--no-store") {
@@ -267,8 +254,6 @@ CliOptions parse_args(int argc, char** argv) {
     }
   }
   if (no_trace_store) o.trace_store.clear();
-  exec::set_default_request(request);
-  exec::install_interrupt_handler();
   return o;
 }
 
