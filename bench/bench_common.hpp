@@ -4,10 +4,12 @@
 //   figN [--csv] [--kernels=a,b,c] [--jobs=N]
 //        [--store=PATH] [--no-store] [--trace-store=PATH]
 //        [--no-trace-store] [--deadline=SECS]
-// With no arguments the full 14-kernel suite is run and a fixed-width table
+// With no arguments the full 26-kernel suite is run and a fixed-width table
 // (matching the paper figure's bars, plus the AVERAGE bar) is printed.
 // --jobs sets the worker-pool width of the parallel experiment engine
-// (default: one per hardware thread; --jobs=1 is the serial path).
+// (default: one per hardware thread; --jobs=1 is the serial path). A
+// malformed or negative --jobs or --deadline value prints the usage and
+// exits 2.
 // --store=PATH opens (creating if absent) the persistent result store:
 // previously simulated grid points are read back instead of re-simulated,
 // new points are appended. The STTSIM_RESULT_STORE environment variable
@@ -21,12 +23,17 @@
 // for one run. Figure outputs are byte-identical cold vs warm vs disabled.
 // --deadline=SECS gives each grid a wall-clock budget: points still pending
 // when it expires are reported timed-out instead of run (0 = none, the
-// default). Every bench installs the graceful SIGINT handler: the first
-// Ctrl-C drains in-flight points (completed ones stay persisted in the
-// store, so a re-run resumes where it left off) and exits 130; a second
-// Ctrl-C kills the process.
+// default); their cells print as nan, and the bench reports the skipped
+// count on stderr and exits 3 after printing. Every bench installs the
+// graceful SIGINT handler: the first Ctrl-C drains in-flight points
+// (completed ones stay persisted in the store, so a re-run resumes where it
+// left off) and exits 130; a second Ctrl-C kills the process.
 #pragma once
 
+#include <cctype>
+#include <cerrno>
+#include <climits>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -38,6 +45,7 @@
 #include "sttsim/exec/interrupt.hpp"
 #include "sttsim/exec/parallel_executor.hpp"
 #include "sttsim/exec/result_store.hpp"
+#include "sttsim/exec/telemetry.hpp"
 #include "sttsim/exec/trace_store.hpp"
 #include "sttsim/report/figure.hpp"
 #include "sttsim/sim/stats.hpp"
@@ -71,10 +79,47 @@ inline void open_trace_store(const std::string& path) {
   exec::set_trace_store(holder.get());
 }
 
+[[noreturn]] inline void usage(const char* argv0) {
+  std::fprintf(stderr,
+               "usage: %s [--csv] [--kernels=a,b,c] [--jobs=N] "
+               "[--store=PATH] [--no-store] "
+               "[--trace-store=PATH] [--no-trace-store] "
+               "[--deadline=SECS]\n",
+               argv0);
+  std::exit(2);
+}
+
+/// A whole non-negative decimal integer that fits `unsigned`.
+inline bool parse_count(const char* s, unsigned& out) {
+  if (!std::isdigit(static_cast<unsigned char>(*s))) return false;
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long v = std::strtoul(s, &end, 10);
+  if (*end != '\0' || errno == ERANGE || v > UINT_MAX) return false;
+  out = static_cast<unsigned>(v);
+  return true;
+}
+
+/// A whole finite non-negative number of seconds.
+inline bool parse_seconds(const char* s, double& out) {
+  if (!std::isdigit(static_cast<unsigned char>(*s)) && *s != '.') {
+    return false;
+  }
+  char* end = nullptr;
+  const double v = std::strtod(s, &end);
+  if (end == s || *end != '\0' || !std::isfinite(v)) return false;
+  out = v;
+  return true;
+}
+
 inline Options parse(int argc, char** argv) {
   Options o;
   bool no_store = false;
   bool no_trace_store = false;
+  const auto bad_value = [&](const std::string& arg) {
+    std::fprintf(stderr, "%s: bad value in '%s'\n", argv[0], arg.c_str());
+    usage(argv[0]);
+  };
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--csv") {
@@ -88,9 +133,9 @@ inline Options parse(int argc, char** argv) {
     } else if (arg.rfind("--trace-store=", 0) == 0) {
       o.trace_store = arg.substr(14);
     } else if (arg.rfind("--jobs=", 0) == 0) {
-      o.jobs = static_cast<unsigned>(std::strtoul(arg.c_str() + 7, nullptr, 10));
+      if (!parse_count(arg.c_str() + 7, o.jobs)) bad_value(arg);
     } else if (arg.rfind("--deadline=", 0) == 0) {
-      o.deadline_s = std::strtod(arg.c_str() + 11, nullptr);
+      if (!parse_seconds(arg.c_str() + 11, o.deadline_s)) bad_value(arg);
     } else if (arg.rfind("--kernels=", 0) == 0) {
       std::string list = arg.substr(10);
       std::size_t pos = 0;
@@ -102,13 +147,7 @@ inline Options parse(int argc, char** argv) {
         pos = comma == std::string::npos ? comma : comma + 1;
       }
     } else {
-      std::fprintf(stderr,
-                   "usage: %s [--csv] [--kernels=a,b,c] [--jobs=N] "
-                   "[--store=PATH] [--no-store] "
-                   "[--trace-store=PATH] [--no-trace-store] "
-                   "[--deadline=SECS]\n",
-                   argv[0]);
-      std::exit(2);
+      usage(argv[0]);
     }
   }
   if (o.store.empty() && !no_store) {
@@ -144,11 +183,25 @@ inline int print_figure(const report::FigureData& fig, const Options& o) {
 /// exits instead of std::terminate: an interrupted campaign (first Ctrl-C
 /// drains, completed points are persisted) exits 130 like a shell SIGINT,
 /// any other error — a failed grid point, a result-store open diagnostic —
-/// prints and exits 1.
+/// prints and exits 1. A body that completed while its grids skipped points
+/// past the deadline (nan cells) reports the count and exits 3.
 template <typename Body>
 int guarded_main(int argc, char** argv, Body body) {
   try {
-    return body(parse(argc, argv));
+    const Options o = parse(argc, argv);
+    auto& telemetry = exec::Telemetry::instance();
+    const exec::TelemetrySnapshot before = telemetry.snapshot();
+    const int code = body(o);
+    const std::uint64_t skipped =
+        (telemetry.snapshot() - before).tasks_timed_out;
+    if (code == 0 && skipped > 0) {
+      std::fprintf(stderr,
+                   "sttsim: %llu grid point(s) skipped past the %g s "
+                   "deadline; their cells are nan\n",
+                   static_cast<unsigned long long>(skipped), o.deadline_s);
+      return 3;
+    }
+    return code;
   } catch (const exec::Interrupted& e) {
     std::fprintf(stderr, "sttsim: %s\n", e.what());
     return 130;

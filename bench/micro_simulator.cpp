@@ -8,7 +8,6 @@
 #include "sttsim/core/vwb.hpp"
 #include "sttsim/cpu/system.hpp"
 #include "sttsim/cpu/trace_io.hpp"
-#include "sttsim/xform/passes.hpp"
 #include "sttsim/experiments/harness.hpp"
 #include "sttsim/mem/set_assoc_cache.hpp"
 #include "sttsim/util/rng.hpp"
@@ -18,6 +17,13 @@
 namespace {
 
 using namespace sttsim;
+
+/// gemm at n x n x n, scalar code.
+cpu::DecodedTrace gemm_trace(std::uint64_t n) {
+  workloads::Emitter em(workloads::CodegenOptions::none());
+  workloads::gemm_into(em, n, n, n);
+  return em.take_decoded();
+}
 
 void BM_SetAssocCacheAccess(benchmark::State& state) {
   mem::SetAssocCache cache(mem::CacheGeometry{64 * kKiB, 2, 64});
@@ -38,22 +44,20 @@ BENCHMARK(BM_SetAssocCacheAccess);
 
 void BM_TraceGeneration_gemm(benchmark::State& state) {
   for (auto _ : state) {
-    auto trace = workloads::gemm(32, 32, 32, workloads::CodegenOptions::none());
-    benchmark::DoNotOptimize(trace.data());
+    auto trace = gemm_trace(32);
+    benchmark::DoNotOptimize(trace.ops.data());
   }
 }
 BENCHMARK(BM_TraceGeneration_gemm);
 
 void BM_SimulateKernel(benchmark::State& state) {
   const auto org = static_cast<cpu::Dl1Organization>(state.range(0));
-  const auto trace =
-      workloads::gemm(32, 32, 32, workloads::CodegenOptions::none());
-  const cpu::DecodedTrace decoded = cpu::decode(trace);
+  const cpu::DecodedTrace trace = gemm_trace(32);
   cpu::SystemConfig cfg;
   cfg.organization = org;
   cpu::System system(cfg);
   for (auto _ : state) {
-    const auto stats = system.run(decoded);
+    const auto stats = system.run(trace);
     benchmark::DoNotOptimize(stats.core.total_cycles);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -82,40 +86,23 @@ void BM_VwbLookup(benchmark::State& state) {
 BENCHMARK(BM_VwbLookup);
 
 void BM_TraceIoRoundTrip(benchmark::State& state) {
-  const auto trace =
-      workloads::gemm(16, 16, 16, workloads::CodegenOptions::none());
+  const cpu::DecodedTrace trace = gemm_trace(16);
   for (auto _ : state) {
     std::stringstream ss;
     cpu::write_trace(ss, trace);
     auto restored = cpu::read_trace(ss);
-    benchmark::DoNotOptimize(restored.data());
+    benchmark::DoNotOptimize(restored.ops.data());
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(trace.size()) * 16);
 }
 BENCHMARK(BM_TraceIoRoundTrip);
 
-void BM_XformPipeline(benchmark::State& state) {
-  const auto trace =
-      workloads::atax(32, 32, workloads::CodegenOptions::none());
-  for (auto _ : state) {
-    xform::PassManager pm;
-    pm.add(std::make_unique<xform::RedundantLoadPass>())
-        .add(std::make_unique<xform::BranchOverheadPass>())
-        .add(std::make_unique<xform::PrefetchInsertionPass>());
-    auto out = pm.run(trace);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(trace.size()));
-}
-BENCHMARK(BM_XformPipeline);
-
 void BM_FullSuiteTraceGen(benchmark::State& state) {
   for (auto _ : state) {
     for (const auto& k : workloads::polybench_suite()) {
-      auto t = k.generate(workloads::CodegenOptions::none());
-      benchmark::DoNotOptimize(t.data());
+      auto t = k.generate_decoded(workloads::CodegenOptions::none());
+      benchmark::DoNotOptimize(t.ops.data());
       break;  // first kernel only; the full sweep lives in the fig benches
     }
   }

@@ -86,7 +86,8 @@ int main(int argc, char** argv) {
       }
       cpu::SystemConfig cfg;
       cfg.organization = job.org;
-      const cpu::Trace trace = testutil::random_trace(job.seed, ops, job.region);
+      const cpu::DecodedTrace trace =
+          testutil::random_trace(job.seed, ops, job.region);
       const check::Divergence div = check::run_differential(cfg, trace);
       done.fetch_add(1, std::memory_order_relaxed);
       if (!div.diverged) return;

@@ -3,7 +3,9 @@
 #include "sttsim/experiments/figures.hpp"
 
 int main(int argc, char** argv) {
-  const auto opts = sttsim::benchcli::parse(argc, argv);
-  return sttsim::benchcli::print_figure(
-      sttsim::experiments::sensitivity_cell(opts.kernels), opts);
+  return sttsim::benchcli::guarded_main(
+      argc, argv, [](const sttsim::benchcli::Options& opts) {
+        return sttsim::benchcli::print_figure(
+            sttsim::experiments::sensitivity_cell(opts.kernels), opts);
+      });
 }

@@ -5,8 +5,8 @@
 #include <fstream>
 #include <utility>
 
-#include "sttsim/cpu/decoded_trace.hpp"
 #include "sttsim/cpu/trace_io.hpp"
+#include "sttsim/util/check.hpp"
 #include "sttsim/util/text.hpp"
 
 namespace sttsim::check {
@@ -75,11 +75,19 @@ const char* kind_name(cpu::OpKind kind) {
   return "?";
 }
 
+std::size_t count_stores(const cpu::DecodedTrace& trace) {
+  return static_cast<std::size_t>(std::count_if(
+      trace.ops.begin(), trace.ops.end(),
+      [](const cpu::DecodedOp& op) { return op.kind == cpu::OpKind::kStore; }));
+}
+
 }  // namespace
 
 Divergence run_differential(const cpu::SystemConfig& config,
-                            const cpu::Trace& trace,
+                            const cpu::DecodedTrace& trace,
                             const OracleFaults& faults) {
+  STTSIM_CHECK(trace.store_values.empty() ||
+               trace.store_values.size() == count_stores(trace));
   cpu::System system(config);
   std::unique_ptr<ReferenceDl1> oracle = make_reference_dl1(config, faults);
 
@@ -92,7 +100,7 @@ Divergence run_differential(const cpu::SystemConfig& config,
     div.expected = expected;
     div.observed = observed;
     if (index < trace.size()) {
-      const cpu::TraceOp& op = trace[index];
+      const cpu::DecodedOp& op = trace.ops[index];
       div.detail = strprintf(
           "op #%zu (%s addr=0x%llx size=%u): %s oracle=%llu simulator=%llu",
           index, kind_name(op.kind), static_cast<unsigned long long>(op.addr),
@@ -112,10 +120,11 @@ Divergence run_differential(const cpu::SystemConfig& config,
   // of DESIGN.md independently of the production loop.
   sim::CoreStats want;
   sim::Cycle now = 0;
+  std::size_t store = 0;  // ordinal of the next store's payload
   const sim::RunStats got = system.run(
-      cpu::decode(trace), [&](const cpu::OpEvent& ev) {
+      trace, [&](const cpu::OpEvent& ev) {
         if (div.diverged) return;  // the oracle stops at the first divergence
-        const cpu::TraceOp& op = trace[ev.index];
+        const cpu::DecodedOp& op = trace.ops[ev.index];
         const sim::Cycle issue_done = now + 1;
         switch (op.kind) {
           case cpu::OpKind::kExec:
@@ -137,7 +146,8 @@ Divergence run_differential(const cpu::SystemConfig& config,
             want.mem_instructions += 1;
             want.exec_cycles += 1;
             now = std::max<sim::Cycle>(
-                issue_done, oracle->store(op.addr, op.size, op.value, now));
+                issue_done, oracle->store(op.addr, op.size,
+                                          trace.store_value(store++), now));
             want.write_stall_cycles += now - issue_done;
             break;
           }
@@ -188,7 +198,7 @@ Divergence run_differential(const cpu::SystemConfig& config,
 }
 
 MinimizeResult minimize_trace(const cpu::SystemConfig& config,
-                              const cpu::Trace& trace,
+                              const cpu::DecodedTrace& trace,
                               const OracleFaults& faults) {
   MinimizeResult result;
   result.trace = trace;
@@ -200,18 +210,26 @@ MinimizeResult minimize_trace(const cpu::SystemConfig& config,
   // keeping any candidate that still diverges.
   std::size_t n = 2;
   while (result.trace.size() >= 2) {
-    const std::size_t chunk = (result.trace.size() + n - 1) / n;
+    const cpu::DecodedTrace& cur = result.trace;
+    const std::size_t chunk = (cur.size() + n - 1) / n;
     bool reduced = false;
     for (std::size_t i = 0; i < n; ++i) {
-      const std::size_t lo = std::min(result.trace.size(), i * chunk);
-      const std::size_t hi = std::min(result.trace.size(), lo + chunk);
+      const std::size_t lo = std::min(cur.size(), i * chunk);
+      const std::size_t hi = std::min(cur.size(), lo + chunk);
       if (lo >= hi) break;
-      cpu::Trace candidate;
-      candidate.reserve(result.trace.size() - (hi - lo));
-      candidate.insert(candidate.end(), result.trace.begin(),
-                       result.trace.begin() + lo);
-      candidate.insert(candidate.end(), result.trace.begin() + hi,
-                       result.trace.end());
+      // Drop ops [lo, hi) and, with a sidecar, the payloads of their stores.
+      cpu::DecodedTrace candidate;
+      candidate.ops.reserve(cur.size() - (hi - lo));
+      std::size_t store = 0;
+      for (std::size_t k = 0; k < cur.size(); ++k) {
+        const bool is_store = cur.ops[k].kind == cpu::OpKind::kStore;
+        const bool keep = k < lo || k >= hi;
+        if (keep) candidate.ops.push_back(cur.ops[k]);
+        if (is_store && keep && !cur.store_values.empty()) {
+          candidate.store_values.push_back(cur.store_values[store]);
+        }
+        store += is_store;
+      }
       if (candidate.empty()) continue;
       const Divergence d = run_differential(config, candidate, faults);
       result.probes += 1;

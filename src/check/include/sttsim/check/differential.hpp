@@ -9,8 +9,8 @@
 #include <string>
 
 #include "sttsim/check/oracle.hpp"
+#include "sttsim/cpu/decoded_trace.hpp"
 #include "sttsim/cpu/system.hpp"
-#include "sttsim/cpu/trace.hpp"
 
 namespace sttsim::check {
 
@@ -32,28 +32,31 @@ struct Divergence {
 /// the completion cycle, every sim::MemStats counter and the data-content
 /// shadow log are compared; after the last op, the core counters System
 /// returned are compared with the oracle's own tally. The first mismatch is
-/// returned. `faults` injects deliberate oracle bugs (checker-sensitivity
-/// tests).
+/// returned. The oracle reads each op's kind, addr, size and count and each
+/// store's payload, never the precomputed spans, so it stays independent of
+/// the replay's fast-path geometry. `faults` injects deliberate oracle bugs
+/// (checker-sensitivity tests).
 Divergence run_differential(const cpu::SystemConfig& config,
-                            const cpu::Trace& trace,
+                            const cpu::DecodedTrace& trace,
                             const OracleFaults& faults = {});
 
 /// Result of delta-debugging minimization.
 struct MinimizeResult {
-  cpu::Trace trace;       ///< 1-minimal subsequence that still diverges
+  cpu::DecodedTrace trace;  ///< 1-minimal subsequence that still diverges
   Divergence divergence;  ///< the divergence the minimal trace triggers
   unsigned probes = 0;    ///< differential runs spent minimizing
 };
 
 /// ddmin: reduces `trace` to a 1-minimal subsequence that still diverges
-/// under `config`/`faults`. If the full trace does not diverge, returns it
-/// unchanged with `divergence.diverged == false`.
+/// under `config`/`faults`; each dropped op takes its store payload with
+/// it. If the full trace does not diverge, returns it unchanged with
+/// `divergence.diverged == false`.
 MinimizeResult minimize_trace(const cpu::SystemConfig& config,
-                              const cpu::Trace& trace,
+                              const cpu::DecodedTrace& trace,
                               const OracleFaults& faults = {});
 
-/// Writes a replayable reproducer: `<dir>/<tag>.trace` (binary trace,
-/// cpu::trace_io format) plus `<dir>/<tag>.txt` describing the
+/// Writes a replayable reproducer: `<dir>/<tag>.trace` (trace file,
+/// cpu/trace_io.hpp) plus `<dir>/<tag>.txt` describing the
 /// configuration, the divergence, and the replay command. Creates `dir` if
 /// needed; returns the trace path.
 std::string write_reproducer(const std::string& dir, const std::string& tag,

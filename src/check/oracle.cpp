@@ -18,7 +18,8 @@ using sim::Cycles;
 using Bytes = std::vector<std::uint8_t>;
 
 /// Byte `offset` of a store payload: the 64-bit value repeats every 8 bytes
-/// (wide vector stores replicate the payload; see cpu::TraceOp::value).
+/// (wide vector stores replicate the payload; see
+/// cpu::DecodedTrace::store_values).
 std::uint8_t payload_byte(std::uint64_t value, std::uint64_t offset) {
   return static_cast<std::uint8_t>(value >> (8 * (offset % 8)));
 }

@@ -2,41 +2,60 @@
 
 #include <cstring>
 
+#include "sttsim/util/text.hpp"
+
 namespace sttsim::cpu {
 
-DecodedTrace decode(const Trace& trace) {
-  DecodedTrace out;
-  out.ops.reserve(trace.size());
-  for (const TraceOp& op : trace) {
-    DecodedOp d;
-    d.addr = op.addr;
-    d.count = op.count;
-    d.kind = op.kind;
-    d.size = op.size;
-    if (op.is_memory()) {
-      d.span32 = span_of(op.addr, op.size, 5);
-      d.span64 = span_of(op.addr, op.size, 6);
-    }
-    out.ops.push_back(d);
-    if (op.kind == OpKind::kStore) out.store_values.push_back(op.value);
+void assign_store_values(DecodedTrace& trace, std::uint64_t seed) {
+  std::uint64_t n = 0;
+  trace.store_values.clear();
+  for (const DecodedOp& op : trace.ops) {
+    if (op.kind != OpKind::kStore) continue;
+    // splitmix64 of (seed, ordinal): nonzero with overwhelming probability,
+    // distinct per store, stable across runs and platforms.
+    std::uint64_t z = seed + (++n) * 0x9E3779B97F4A7C15ULL;
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+    trace.store_values.push_back((z ^ (z >> 31)) | 1);
   }
-  return out;
 }
 
-Trace reassemble(const DecodedTrace& decoded) {
-  Trace out;
-  out.reserve(decoded.ops.size());
-  std::size_t store = 0;
-  for (const DecodedOp& d : decoded.ops) {
-    TraceOp op;
-    op.kind = d.kind;
-    op.size = d.size;
-    op.count = d.count;
-    op.addr = d.addr;
-    if (d.kind == OpKind::kStore) op.value = decoded.store_values[store++];
-    out.push_back(op);
+TraceSummary summarize(const DecodedTrace& trace) {
+  TraceSummary s;
+  for (const DecodedOp& op : trace.ops) {
+    switch (op.kind) {
+      case OpKind::kExec:
+        s.instructions += op.count;
+        s.exec_instructions += op.count;
+        break;
+      case OpKind::kLoad:
+        s.instructions += 1;
+        s.loads += 1;
+        s.bytes_loaded += op.size;
+        break;
+      case OpKind::kStore:
+        s.instructions += 1;
+        s.stores += 1;
+        s.bytes_stored += op.size;
+        break;
+      case OpKind::kPrefetch:
+        s.instructions += 1;
+        s.prefetches += 1;
+        break;
+    }
   }
-  return out;
+  return s;
+}
+
+std::string describe(const DecodedTrace& trace) {
+  const TraceSummary s = summarize(trace);
+  return strprintf(
+      "%llu insts: %llu ld / %llu st / %llu pf / %llu ex",
+      static_cast<unsigned long long>(s.instructions),
+      static_cast<unsigned long long>(s.loads),
+      static_cast<unsigned long long>(s.stores),
+      static_cast<unsigned long long>(s.prefetches),
+      static_cast<unsigned long long>(s.exec_instructions));
 }
 
 namespace {
@@ -52,9 +71,7 @@ std::int64_t unzigzag(std::uint64_t v) {
   return static_cast<std::int64_t>((v >> 1) ^ (~(v & 1) + 1));
 }
 
-/// LEB128. The writer appends to a byte vector; the reader advances `p`
-/// (streams are produced by compress(), so a well-formed varint is a
-/// structural invariant, not an input to validate per op).
+/// LEB128 writer (the cursor below is the reader).
 void write_varint(std::vector<std::uint8_t>& out, std::uint64_t v) {
   while (v >= 0x80) {
     out.push_back(static_cast<std::uint8_t>(v) | 0x80u);
@@ -62,15 +79,9 @@ void write_varint(std::vector<std::uint8_t>& out, std::uint64_t v) {
   }
   out.push_back(static_cast<std::uint8_t>(v));
 }
-std::uint64_t read_varint(const std::uint8_t*& p) {
-  std::uint64_t v = 0;
-  unsigned shift = 0;
-  for (;;) {
-    const std::uint8_t b = *p++;
-    v |= static_cast<std::uint64_t>(b & 0x7Fu) << shift;
-    if ((b & 0x80u) == 0) return v;
-    shift += 7;
-  }
+
+[[noreturn]] void malformed(const char* what) {
+  throw TraceIoError(std::string("malformed trace stream: ") + what);
 }
 
 /// Whether the compact (non-escape) encoding reproduces `op` exactly under
@@ -89,7 +100,9 @@ bool compact_representable(const DecodedOp& op) {
 }
 
 /// Streaming expansion of one CompressedTrace: `next()` produces ops in
-/// order, carrying prev_addr/prev_size exactly as compress() does.
+/// order, carrying prev_addr/prev_size exactly as compress() does. The
+/// stream may come from a file, so every read is bounds-checked and every
+/// op validated in this one pass; a malformed stream throws TraceIoError.
 class CompressedCursor {
  public:
   explicit CompressedCursor(const CompressedTrace& trace)
@@ -100,31 +113,45 @@ class CompressedCursor {
     if (p_ == end_) return false;
     const std::uint8_t tag = *p_++;
     if (tag == kCompressedEscape) {
+      if (static_cast<std::size_t>(end_ - p_) < sizeof(DecodedOp)) {
+        malformed("truncated escaped op");
+      }
       std::memcpy(&op, p_, sizeof(DecodedOp));
       p_ += sizeof(DecodedOp);
+      if (static_cast<std::uint8_t>(op.kind) >
+          static_cast<std::uint8_t>(OpKind::kPrefetch)) {
+        malformed("unknown op kind");
+      }
       if (op.kind != OpKind::kExec) {
         prev_addr_ = op.addr;
         prev_size_ = op.size;
       }
+      check_size(op.kind);
       return true;
     }
     const OpKind kind = static_cast<OpKind>(tag & 3u);
     if (kind == OpKind::kExec) {
       const std::uint32_t inline_count = tag >> 2;
+      std::uint64_t count = inline_count + 1u;
+      if (inline_count == 63u) {
+        count = varint();
+        if (count > UINT32_MAX) malformed("exec count overflows 32 bits");
+      }
       op.addr = 0;
-      op.count =
-          inline_count < 63u
-              ? inline_count + 1u
-              : static_cast<std::uint32_t>(read_varint(p_));
+      op.count = static_cast<std::uint32_t>(count);
       op.kind = OpKind::kExec;
       op.size = 0;
       op.span32 = 1;
       op.span64 = 1;
       return true;
     }
-    if (tag & 4u) prev_size_ = *p_++;
+    if (tag & 4u) {
+      if (p_ == end_) malformed("truncated size byte");
+      prev_size_ = *p_++;
+    }
+    check_size(kind);
     std::uint64_t zz = tag >> 3;
-    if (zz == 31u) zz = read_varint(p_);
+    if (zz == 31u) zz = varint();
     prev_addr_ += unzigzag(zz);
     op.addr = prev_addr_;
     op.count = 1;
@@ -137,6 +164,24 @@ class CompressedCursor {
   }
 
  private:
+  std::uint64_t varint() {
+    std::uint64_t v = 0;
+    for (unsigned shift = 0; shift < 64; shift += 7) {
+      if (p_ == end_) malformed("truncated varint");
+      const std::uint8_t b = *p_++;
+      v |= static_cast<std::uint64_t>(b & 0x7Fu) << shift;
+      if ((b & 0x80u) == 0) return v;
+    }
+    malformed("overlong varint");
+  }
+
+  /// Loads and stores move at least one byte.
+  void check_size(OpKind kind) const {
+    if ((kind == OpKind::kLoad || kind == OpKind::kStore) && prev_size_ == 0) {
+      malformed("zero-size memory op");
+    }
+  }
+
   const std::uint8_t* p_;
   const std::uint8_t* end_;
   Addr prev_addr_ = 0;
@@ -149,8 +194,7 @@ CompressedTrace compress(const DecodedTrace& decoded) {
   CompressedTrace out;
   out.op_count = decoded.ops.size();
   out.store_values = decoded.store_values;
-  // ~2 bytes/op is typical for kernel traces; over-reserving slightly beats
-  // regrowing the stream.
+  // Kernel traces take ≈3.3 bytes/op, so the stream regrows at most once.
   out.bytes.reserve(decoded.ops.size() * 3);
   Addr prev_addr = 0;
   std::uint8_t prev_size = 0;
@@ -203,12 +247,23 @@ CompressedTrace compress(const DecodedTrace& decoded) {
 }
 
 DecodedTrace decompress(const CompressedTrace& trace) {
+  // Every op takes at least one stream byte, so a larger count is malformed
+  // and must not drive the reservation.
+  if (trace.op_count > trace.bytes.size()) malformed("more ops than bytes");
   DecodedTrace out;
   out.ops.reserve(trace.size());
-  out.store_values = trace.store_values;
   CompressedCursor cursor(trace);
   DecodedOp op;
-  while (cursor.next(op)) out.ops.push_back(op);
+  std::size_t stores = 0;
+  while (cursor.next(op)) {
+    out.ops.push_back(op);
+    stores += op.kind == OpKind::kStore;
+  }
+  if (out.ops.size() != trace.op_count) malformed("op count mismatch");
+  if (!trace.store_values.empty() && trace.store_values.size() != stores) {
+    malformed("store payloads do not match the stores");
+  }
+  out.store_values = trace.store_values;
   return out;
 }
 
@@ -254,6 +309,8 @@ bool deserialize_compressed(const std::uint8_t* data, std::size_t len,
       24 + stream_bytes + 8 * n_values != len) {
     return false;
   }
+  // Each op takes at least one stream byte and at most one payload.
+  if (op_count > stream_bytes || n_values > op_count) return false;
   out.op_count = op_count;
   out.bytes.assign(data + 24, data + 24 + stream_bytes);
   out.store_values.resize(static_cast<std::size_t>(n_values));

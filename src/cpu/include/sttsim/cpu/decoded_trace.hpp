@@ -1,31 +1,48 @@
-// Decoded (replay-optimized) trace representation.
+// The dynamic instruction trace consumed by the core model — the program's
+// one in-memory trace form.
 //
-// A raw TraceOp is 32 bytes and leaves per-access geometry work — "how many
-// cache granules does this access cover?" — to be redone inside every DL1
-// organization on every replay. A grid run replays the same trace against
-// dozens of configurations, so that work is hoisted into a one-time decode:
+// Workload generators (src/workloads) emit it by symbolically executing the
+// PolyBench kernels. The op set is the minimum an in-order, single-issue
+// data-cache study needs: non-memory work (exec bundles), loads, stores, and
+// software prefetch hints. A grid run replays the same trace against dozens
+// of configurations, so each op carries what the replay loop would otherwise
+// recompute on every replay:
 //
-//  * ops are packed to 16 bytes (half the footprint, twice the ops per cache
-//    line of the *host* machine while streaming the trace);
+//  * ops are packed to 16 bytes (four ops per 64-byte line of the *host*
+//    machine while streaming the trace);
 //  * the number of 32-byte and 64-byte granules each access spans — the only
 //    two granularities the paper's organizations use (256-bit SRAM line,
-//    512-bit STT-MRAM line / VWB sector) — is precomputed, so the replay loop
-//    can take a single-granule fast path without address arithmetic;
+//    512-bit STT-MRAM line / VWB sector) — is precomputed at emission, so
+//    the replay loop can take a single-granule fast path without address
+//    arithmetic;
 //  * store payloads (ignored by the timing model, used only by the check::
-//    data-content shadow) move to a sidecar array indexed by store ordinal.
-//
-// decode()/reassemble() are exact inverses for any trace whose non-store ops
-// carry no payload (all generator- and fuzzer-produced traces do this), which
-// tests/test_fastpath verifies.
+//    data-content shadow) live in a sidecar array indexed by store ordinal.
+//    An empty sidecar means every payload is zero, which is what kernel
+//    generators emit; fuzz and oracle traces carry real payloads.
 #pragma once
 
 #include <cstdint>
+#include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
-#include "sttsim/cpu/trace.hpp"
 #include "sttsim/util/bits.hpp"
 
 namespace sttsim::cpu {
+
+enum class OpKind : std::uint8_t {
+  kExec,      ///< `count` back-to-back non-memory instructions (1 cycle each)
+  kLoad,      ///< load of `size` bytes at `addr`
+  kStore,     ///< store of `size` bytes at `addr`
+  kPrefetch,  ///< software prefetch hint for `addr`
+};
+
+/// Thrown on a malformed trace blob or trace file, or on I/O failure.
+class TraceIoError : public std::runtime_error {
+ public:
+  explicit TraceIoError(const std::string& what) : std::runtime_error(what) {}
+};
 
 /// One replay-ready op. 16 bytes, trivially copyable.
 struct DecodedOp {
@@ -35,11 +52,13 @@ struct DecodedOp {
   std::uint8_t size = 0;    ///< access width in bytes (loads/stores)
   std::uint8_t span32 = 1;  ///< 32-byte granules covered (memory ops)
   std::uint8_t span64 = 1;  ///< 64-byte granules covered (memory ops)
+
+  bool operator==(const DecodedOp&) const = default;
 };
 static_assert(sizeof(DecodedOp) == 16, "DecodedOp must stay 16 bytes packed");
 
 /// Granules of (1 << shift) bytes covered by `op` — from the precomputed
-/// spans when the granularity is one the decode anticipated, otherwise
+/// spans when the granularity is one emission anticipated, otherwise
 /// computed on the fly (degenerate geometries, e.g. sub-line VWB sweeps).
 inline unsigned decoded_span(const DecodedOp& op, unsigned shift) {
   if (shift == 5) return op.span32;
@@ -49,7 +68,7 @@ inline unsigned decoded_span(const DecodedOp& op, unsigned shift) {
 }
 
 /// Granules of (1 << shift) bytes covered by a `size`-byte access at `addr`
-/// (the decode-time form of decoded_span; also used when expanding
+/// (the emission-time form of decoded_span; also used when expanding
 /// compressed ops, so both paths produce bit-identical spans).
 inline std::uint8_t span_of(Addr addr, unsigned size, unsigned shift) {
   if (size == 0) return 1;
@@ -60,26 +79,44 @@ inline std::uint8_t span_of(Addr addr, unsigned size, unsigned shift) {
 struct DecodedTrace {
   std::vector<DecodedOp> ops;
   /// Store payloads in store-ordinal order (`ops` position of the i-th
-  /// kStore op maps to store_values[i]).
+  /// kStore op maps to store_values[i]); empty means all zero. A store's
+  /// payload is repeated byte-wise over its `size`.
   std::vector<std::uint64_t> store_values;
 
   std::size_t size() const { return ops.size(); }
   bool empty() const { return ops.empty(); }
+  /// Payload of the `ordinal`-th store.
+  std::uint64_t store_value(std::size_t ordinal) const {
+    return store_values.empty() ? 0 : store_values[ordinal];
+  }
+
+  bool operator==(const DecodedTrace&) const = default;
 };
 
-/// Precomputes the replay-ready form of `trace`.
-DecodedTrace decode(const Trace& trace);
+/// Gives every store a nonzero deterministic payload derived from `seed` and
+/// its ordinal, so the data-content shadow check distinguishes stale data
+/// from never-written data on traces whose generator left them zero.
+void assign_store_values(DecodedTrace& trace, std::uint64_t seed);
 
-/// Reconstructs the raw trace (inverse of decode for generator traces; the
-/// fast-path tests round-trip through this).
-Trace reassemble(const DecodedTrace& decoded);
+/// Aggregate shape of a trace (used for tests and trace-level reports).
+struct TraceSummary {
+  std::uint64_t instructions = 0;  ///< total retired instruction count
+  std::uint64_t loads = 0;
+  std::uint64_t stores = 0;
+  std::uint64_t prefetches = 0;
+  std::uint64_t exec_instructions = 0;
+  std::uint64_t bytes_loaded = 0;
+  std::uint64_t bytes_stored = 0;
+};
 
-/// Direct-to-decoded synthesis sink: workload generators append packed
-/// 16-byte DecodedOps — granule spans precomputed at emission with the same
-/// span_of the decode pass uses — so the cold path never materializes a raw
-/// TraceOp vector or runs a separate decode() pass. The ops produced are
-/// byte-identical to decode(reassemble(·)) on the same emission sequence
-/// (tests/test_simd pins this for every suite kernel × codegen).
+TraceSummary summarize(const DecodedTrace& trace);
+
+/// One-line description, e.g. "12034 insts: 4096 ld / 1024 st / 0 pf / 6914 ex".
+std::string describe(const DecodedTrace& trace);
+
+/// Emission sink: workload generators append packed 16-byte DecodedOps with
+/// their granule spans precomputed. Store payloads stay zero (an empty
+/// sidecar).
 class DecodedTraceBuilder {
  public:
   /// One bundle of `count` back-to-back non-memory instructions (count > 0).
@@ -91,34 +128,31 @@ class DecodedTraceBuilder {
                                  span_of(addr, size, 5),
                                  span_of(addr, size, 6)});
   }
-  void store(Addr addr, std::uint8_t size, std::uint64_t value = 0) {
+  void store(Addr addr, std::uint8_t size) {
     out_.ops.push_back(DecodedOp{addr, 1, OpKind::kStore, size,
                                  span_of(addr, size, 5),
                                  span_of(addr, size, 6)});
-    out_.store_values.push_back(value);
   }
-  /// Prefetch hints carry no size; spans stay 1/1 exactly as decode() leaves
-  /// non-memory ops.
+  /// Prefetch hints carry no size; their spans stay 1/1.
   void prefetch(Addr addr) {
     out_.ops.push_back(DecodedOp{addr, 1, OpKind::kPrefetch, 0, 1, 1});
   }
 
-  std::size_t size() const { return out_.ops.size(); }
-
-  /// Finishes emission and yields the decoded trace.
+  /// Finishes emission and yields the trace.
   DecodedTrace take() { return std::move(out_); }
 
  private:
   DecodedTrace out_;
 };
 
-// ---- Compressed decoded traces ---------------------------------------
+// ---- Compressed traces -----------------------------------------------
 //
-// The persistent trace store (exec::TraceStore) keeps traces in a
-// delta/RLE byte stream of ~1-2 bytes per op instead of 16. Accesses in the
-// generated kernels are local — the next address is usually the previous
-// one plus the access width — so address deltas and exec-bundle counts fit
-// a tag byte most of the time.
+// The persistent trace store (exec::TraceStore) and trace files keep traces
+// in a delta/RLE byte stream of ≈3.3 bytes per op (measured over the
+// 26-kernel suite) instead of 16. Accesses in the generated kernels are
+// local — the next address is usually the previous one plus the access
+// width — so address deltas and exec-bundle counts fit a tag byte most of
+// the time.
 //
 // Format (one op at a time; `prev_addr`/`prev_size` carried across ops):
 //   tag & 3 == kind:
@@ -128,32 +162,36 @@ class DecodedTraceBuilder {
 //                tag[3:7] = zigzag(addr - prev_addr) if < 31,
 //                           else 31 + LEB128 zigzag delta
 //   tag == 0xFF: escape — the raw 16-byte DecodedOp follows verbatim
-//                (degenerate ops whose fields the compact form cannot carry;
-//                 never produced by decode() on generator traces).
-// Spans are recomputed on expansion (bit-identical to decode(): memory ops
-// get span_of, exec/prefetch keep 1/1); ops that would not round-trip take
-// the escape, so compress()/decompress() are exact inverses for ANY input.
+//                (ops whose fields the compact form cannot carry, and the
+//                 prefetch whose compact tag would collide with 0xFF).
+// Spans are recomputed on expansion (memory ops get span_of, exec/prefetch
+// keep 1/1); ops that would not round-trip take the escape, so
+// decompress(compress(t)) == t for every valid trace t (every op of a known
+// kind, every load and store at least one byte wide).
 struct CompressedTrace {
   std::vector<std::uint8_t> bytes;          ///< delta/RLE op stream
-  std::vector<std::uint64_t> store_values;  ///< sidecar, store-ordinal order
+  std::vector<std::uint64_t> store_values;  ///< sidecar, as DecodedTrace's
   std::uint64_t op_count = 0;
 
   std::size_t size() const { return static_cast<std::size_t>(op_count); }
   bool empty() const { return op_count == 0; }
 };
 
-/// Delta/RLE-compresses a decoded trace. Exact inverse under decompress()
-/// for any input (ops the compact form cannot represent are escaped).
+/// Delta/RLE-compresses a trace (ops the compact form cannot represent are
+/// escaped).
 CompressedTrace compress(const DecodedTrace& decoded);
 
-/// Rebuilds the full decoded form (exact inverse of compress()).
+/// Rebuilds the full trace (the inverse of compress()). Throws TraceIoError
+/// when the stream is malformed: it runs past its end, holds an op of
+/// unknown kind or a zero-size load or store, expands to other than
+/// `op_count` ops, or the sidecar is neither empty nor one entry per store.
 DecodedTrace decompress(const CompressedTrace& trace);
 
 // ---- Compressed-trace blob (de)serialization -------------------------
 //
-// The persistent trace store (exec::TraceStore) holds CompressedTrace
-// payloads as opaque byte blobs; these two functions define the blob layout
-// (all fields little-endian):
+// The persistent trace store holds CompressedTrace payloads as opaque byte
+// blobs, and a trace file wraps one (cpu/trace_io.hpp); these two functions
+// define the blob layout (all fields little-endian):
 //   [op_count u64][stream_bytes u64][store_values u64][stream...][values...]
 // The layout changes whenever the compressed-stream format does, which is
 // exactly what kTraceFormatVersion tracks — the store key folds it in, so a
@@ -163,8 +201,10 @@ DecodedTrace decompress(const CompressedTrace& trace);
 std::vector<std::uint8_t> serialize_compressed(const CompressedTrace& trace);
 
 /// Parses a blob produced by serialize_compressed. Returns false (leaving
-/// `out` unspecified) when the blob is malformed — truncated, inconsistent
-/// lengths — so a corrupt store record degrades to a cache miss.
+/// `out` unspecified) when the blob's lengths are inconsistent — truncated,
+/// more ops than stream bytes, more payloads than ops — so a corrupt store
+/// record degrades to a cache miss. The stream itself is checked by
+/// decompress().
 bool deserialize_compressed(const std::uint8_t* data, std::size_t len,
                             CompressedTrace& out);
 

@@ -14,7 +14,6 @@
 #include "sttsim/core/dl1_system.hpp"
 #include "sttsim/core/vwb.hpp"
 #include "sttsim/cpu/decoded_trace.hpp"
-#include "sttsim/cpu/trace.hpp"
 #include "sttsim/mem/l2_system.hpp"
 #include "sttsim/reliability/fault.hpp"
 #include "sttsim/tech/technology.hpp"
@@ -119,9 +118,6 @@ class System {
   System(const SystemConfig& config, Prevalidated);
 
   /// Runs a trace on a *fresh* system state (cold caches) and returns stats.
-  /// The Trace overload decodes on the fly; callers replaying the same
-  /// trace repeatedly should decode once and use the DecodedTrace overload.
-  sim::RunStats run(const Trace& trace);
   sim::RunStats run(const DecodedTrace& trace);
 
   /// Same replay loop, calling `observer` after every op. The differential
@@ -129,7 +125,6 @@ class System {
   sim::RunStats run(const DecodedTrace& trace, const OpObserver& observer);
 
   /// Runs without resetting (for warm-up composition in tests).
-  sim::RunStats run_warm(const Trace& trace);
   sim::RunStats run_warm(const DecodedTrace& trace);
 
   const SystemConfig& config() const { return cfg_; }

@@ -1,45 +1,40 @@
-// Binary trace serialization.
+// Trace files.
 //
 // Lets downstream users capture address traces from real programs (any
 // tool that can emit this format) and run them through the simulator, and
-// lets the CLI/test infrastructure snapshot generated traces.
+// lets the CLI and the differential oracle snapshot traces.
 //
-// Format (little-endian):
-//   magic   u64  'STTTRACE'
-//   version u32  (currently 2)
-//   count   u64  number of ops
-//   ops     count x { kind u8, size u8, pad u16, count u32, addr u64,
-//                     value u64 }
-// Version 1 ops lack the trailing `value` (store payload) word; readers
-// accept both versions and default missing payloads to 0.
+// A trace file is the trace store's compressed blob behind a small header
+// (little-endian):
+//   magic    u64  'STTTRACE'
+//   version  u32  kTraceFormatVersion
+//   checksum u64  util::Hash64 of the blob
+//   blob          serialize_compressed(compress(trace)), to end of file
+// The reader rejects a bad magic, any other version, a checksum mismatch
+// and a malformed blob (decompress()'s checks) with TraceIoError.
 #pragma once
 
+#include <cstdint>
 #include <iosfwd>
-#include <stdexcept>
 #include <string>
 
-#include "sttsim/cpu/trace.hpp"
+#include "sttsim/cpu/decoded_trace.hpp"
 
 namespace sttsim::cpu {
 
-/// Thrown on malformed input or I/O failure.
-class TraceIoError : public std::runtime_error {
- public:
-  explicit TraceIoError(const std::string& what) : std::runtime_error(what) {}
-};
-
-/// Current trace format version (written by write_trace; readers accept
-/// this and version 1). Also mixed into persistent result-store keys: a
-/// format bump invalidates memoized results whose generator semantics may
-/// have changed with it.
-inline constexpr std::uint32_t kTraceFormatVersion = 2;
+/// Trace format version: the trace-file header's version, and the version
+/// of the compressed stream the trace store keeps. Also mixed into
+/// persistent result-store and trace-store keys: a format bump invalidates
+/// memoized results and stored traces whose semantics may have changed
+/// with it.
+inline constexpr std::uint32_t kTraceFormatVersion = 3;
 
 /// Serializes `trace` to a stream / file. Throws TraceIoError on failure.
-void write_trace(std::ostream& out, const Trace& trace);
-void write_trace_file(const std::string& path, const Trace& trace);
+void write_trace(std::ostream& out, const DecodedTrace& trace);
+void write_trace_file(const std::string& path, const DecodedTrace& trace);
 
 /// Deserializes a trace. Throws TraceIoError on malformed input.
-Trace read_trace(std::istream& in);
-Trace read_trace_file(const std::string& path);
+DecodedTrace read_trace(std::istream& in);
+DecodedTrace read_trace_file(const std::string& path);
 
 }  // namespace sttsim::cpu

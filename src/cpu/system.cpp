@@ -168,11 +168,6 @@ sim::RunStats System::replay_with(const DecodedTrace& trace,
       concrete_);
 }
 
-sim::RunStats System::run(const Trace& trace) {
-  reset();
-  return run_warm(trace);
-}
-
 sim::RunStats System::run(const DecodedTrace& trace) {
   reset();
   return run_warm(trace);
@@ -185,10 +180,6 @@ sim::RunStats System::run(const DecodedTrace& trace,
                                         sim::Cycle complete) {
     observer(OpEvent{index, issue, complete});
   });
-}
-
-sim::RunStats System::run_warm(const Trace& trace) {
-  return run_warm(decode(trace));
 }
 
 sim::RunStats System::run_warm(const DecodedTrace& trace) {

@@ -9,9 +9,10 @@
 // holder lets go. A caller that is done with a key can free its memory
 // without knowing who else is still using it.
 //
-// experiments::TraceCache instantiates this for (kernel, codegen) -> Trace;
-// the template itself is simulator-agnostic so the ThreadSanitizer test
-// target can exercise it without linking the simulation libraries.
+// experiments::TraceCache instantiates this for (kernel, codegen) ->
+// DecodedTrace; the template itself is simulator-agnostic so the
+// ThreadSanitizer test target can exercise it without linking the
+// simulation libraries.
 #pragma once
 
 #include <atomic>

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "sttsim/exec/interrupt.hpp"
 #include "sttsim/exec/parallel_executor.hpp"
@@ -25,6 +26,12 @@ std::vector<std::string> labels_of(const std::vector<Kernel>& kernels) {
   for (const Kernel& k : kernels) out.push_back(k.name);
   return out;
 }
+
+/// A grid point skipped by a deadline or an interrupt keeps default,
+/// all-zero RunStats. Every cell derived from one is "no data", NaN, as
+/// penalty_pct/gain_pct already make it; it prints as nan.
+bool degraded(const sim::RunStats& s) { return s.core.total_cycles == 0; }
+constexpr double kNoData = std::numeric_limits<double>::quiet_NaN();
 
 std::vector<double> penalties(const std::vector<sim::RunStats>& variant,
                               const std::vector<sim::RunStats>& baseline) {
@@ -134,6 +141,11 @@ report::FigureData fig4_rw_breakdown(const KernelFilter& filter) {
   std::vector<double> read_share;
   std::vector<double> write_share;
   for (std::size_t i = 0; i < kernels.size(); ++i) {
+    if (degraded(vwb[i]) || degraded(sram[i])) {
+      read_share.push_back(kNoData);
+      write_share.push_back(kNoData);
+      continue;
+    }
     const double dr =
         static_cast<double>(vwb[i].core.read_stall_cycles) -
         static_cast<double>(sram[i].core.read_stall_cycles);
@@ -207,6 +219,13 @@ report::FigureData fig6_contributions(const KernelFilter& filter) {
   std::vector<double> s_vec;
   std::vector<double> s_other;
   for (std::size_t i = 0; i < kernels.size(); ++i) {
+    if (degraded(none[i]) || degraded(vec[i]) || degraded(pf[i]) ||
+        degraded(br[i])) {
+      s_pf.push_back(kNoData);
+      s_vec.push_back(kNoData);
+      s_other.push_back(kNoData);
+      continue;
+    }
     const double c = static_cast<double>(none[i].core.total_cycles);
     const double r_vec =
         std::max(c - static_cast<double>(vec[i].core.total_cycles), 0.0);
@@ -485,9 +504,13 @@ report::FigureData energy_report(const KernelFilter& filter) {
   std::vector<double> e_vwb;
   const tech::TechnologyParams sram_t = tech::sram_l1d_64kb();
   const tech::TechnologyParams stt_t = tech::stt_mram_l1d_64kb();
+  const auto uj = [](const sim::RunStats& s,
+                     const tech::TechnologyParams& t) {
+    return degraded(s) ? kNoData : dl1_energy(s, t).total_nj() / 1e3;
+  };
   for (std::size_t i = 0; i < kernels.size(); ++i) {
-    e_sram.push_back(dl1_energy(sram[i], sram_t).total_nj() / 1e3);
-    e_vwb.push_back(dl1_energy(vwb[i], stt_t).total_nj() / 1e3);
+    e_sram.push_back(uj(sram[i], sram_t));
+    e_vwb.push_back(uj(vwb[i], stt_t));
   }
   fig.series.push_back({"SRAM baseline", std::move(e_sram)});
   fig.series.push_back({"STT-MRAM + VWB", std::move(e_vwb)});
@@ -639,8 +662,14 @@ report::FigureData fig_reliability_retention(const KernelFilter& filter) {
   const tech::TechnologyParams stt_t = tech::stt_mram_l1d_64kb();
   std::vector<double> energy_overhead;
   for (std::size_t i = 0; i < kernels.size(); ++i) {
-    const double clean = dl1_energy(grid[1][i], stt_t).total_nj();
-    const double worst = dl1_energy(grid[ppms.size()][i], stt_t).total_nj();
+    const sim::RunStats& clean_run = grid[1][i];
+    const sim::RunStats& worst_run = grid[ppms.size()][i];
+    if (degraded(clean_run) || degraded(worst_run)) {
+      energy_overhead.push_back(kNoData);
+      continue;
+    }
+    const double clean = dl1_energy(clean_run, stt_t).total_nj();
+    const double worst = dl1_energy(worst_run, stt_t).total_nj();
     energy_overhead.push_back((worst - clean) / clean * 100.0);
   }
   fig.series.push_back(
@@ -666,6 +695,7 @@ report::FigureData fig_reliability_lifetime(const KernelFilter& filter) {
   // enough to rebuild the projection, so this figure memoizes in the
   // result store — unlike lifetime_report, which needs the live array.
   const auto years = [&](const sim::RunStats& s, bool leveled) {
+    if (degraded(s)) return kNoData;
     const std::uint64_t frames =
         make_config(Dl1Organization::kNvmDropIn).dl1_config().geometry
             .num_lines();

@@ -118,17 +118,22 @@ std::uint64_t simulation_digest(std::string_view kernel_name,
   return h.digest();
 }
 
-std::uint64_t simulation_digest(const cpu::Trace& trace,
+std::uint64_t simulation_digest(const cpu::DecodedTrace& trace,
                                 const cpu::SystemConfig& config) {
   util::Hash64 h = digest_base();
   h.u8(1);  // key flavor: external trace content
   h.u64(trace.size());
-  for (const cpu::TraceOp& op : trace) {
+  // Every op field; payloads fold as the oracle reads them, so an empty
+  // sidecar and an all-zero one key alike.
+  std::size_t store = 0;
+  for (const cpu::DecodedOp& op : trace.ops) {
     h.u8(static_cast<std::uint8_t>(op.kind))
         .u8(op.size)
         .u32(op.count)
         .u64(op.addr)
-        .u64(op.value);
+        .u8(op.span32)
+        .u8(op.span64)
+        .u64(op.kind == cpu::OpKind::kStore ? trace.store_value(store++) : 0);
   }
   hash_system_config(h, config);
   return h.digest();
@@ -177,25 +182,25 @@ std::shared_ptr<const cpu::DecodedTrace> TraceCache::get_decoded(
           if (tstore->lookup(digest, blob)) {
             const std::uint64_t t0 = now_ns();
             cpu::CompressedTrace stored;
-            if (cpu::deserialize_compressed(blob.data(), blob.size(),
-                                            stored)) {
-              cpu::DecodedTrace decoded = cpu::decompress(stored);
-              telemetry.count_decode_ns(now_ns() - t0);
-              telemetry.count_trace_store_hit();
-              return decoded;
+            try {
+              if (cpu::deserialize_compressed(blob.data(), blob.size(),
+                                              stored)) {
+                cpu::DecodedTrace decoded = cpu::decompress(stored);
+                telemetry.count_decode_ns(now_ns() - t0);
+                telemetry.count_trace_store_hit();
+                return decoded;
+              }
+            } catch (const cpu::TraceIoError&) {
+              // decompress() rejected the stream.
             }
-            // Malformed blob (should be unreachable behind the store's
-            // checksum): fall through and regenerate.
+            // Malformed blob (the store's checksum only proves it is the
+            // blob that was written): fall through and regenerate.
           }
           telemetry.count_trace_store_miss();
         }
         telemetry.count_trace_generated();
         const std::uint64_t t0 = now_ns();
-        // Direct-to-decoded synthesis; hand-rolled Kernel objects (tests)
-        // may only provide the raw generator — decode then.
-        cpu::DecodedTrace decoded = kernel.generate_decoded
-                                        ? kernel.generate_decoded(opts)
-                                        : cpu::decode(kernel.generate(opts));
+        cpu::DecodedTrace decoded = kernel.generate_decoded(opts);
         telemetry.count_generate_ns(now_ns() - t0);
         if (tstore != nullptr) {
           const std::vector<std::uint8_t> blob =
@@ -207,19 +212,9 @@ std::shared_ptr<const cpu::DecodedTrace> TraceCache::get_decoded(
       });
 }
 
-std::shared_ptr<const cpu::Trace> TraceCache::get(
-    const workloads::Kernel& kernel, const workloads::CodegenOptions& opts) {
-  const KeyView lookup{kernel.name, &opts};
-  return raw_cache_.get_or_generate(
-      lookup, [&] { return Key{kernel.name, opts}; },
-      [&] { return cpu::reassemble(*get_decoded(kernel, opts)); });
-}
-
 void TraceCache::drop(const workloads::Kernel& kernel,
                       const workloads::CodegenOptions& opts) {
-  const KeyView lookup{kernel.name, &opts};
-  cache_.drop(lookup);
-  raw_cache_.drop(lookup);
+  cache_.drop(KeyView{kernel.name, &opts});
 }
 
 sim::RunStats run_kernel(TraceCache& cache, const workloads::Kernel& kernel,

@@ -32,9 +32,7 @@ double gain_pct(const sim::RunStats& unoptimized,
                 const sim::RunStats& optimized);
 
 /// Memoizes generated traces per (kernel, codegen) so the points of a grid
-/// that share a trace do not regenerate it — synthesized straight into the
-/// packed decoded representation (Kernel::generate_decoded), so grid
-/// replays never touch a raw TraceOp vector or a decode() pass.
+/// that share a trace do not regenerate it (Kernel::generate_decoded).
 /// Concurrency-safe: a shared_mutex guards the index and a per-key
 /// once-latch guarantees each trace is generated exactly once even when many
 /// parallel jobs request it simultaneously. Cache hits allocate nothing
@@ -51,18 +49,14 @@ double gain_pct(const sim::RunStats& unoptimized,
 /// benches' --trace-store=PATH flag), a miss probes the store by
 /// trace_digest first — a hit deserializes the stored CompressedTrace and
 /// decompresses it (no generation at all; Telemetry::traces_generated stays
-/// 0 on a warm run) — and a generated trace is compressed and appended for
-/// the next run. Without a store nothing is ever compressed.
+/// 0 on a warm run); a malformed blob counts as a miss — and a generated
+/// trace is compressed and appended for the next run. Without a store
+/// nothing is ever compressed.
 class TraceCache {
  public:
   std::shared_ptr<const cpu::DecodedTrace> get_decoded(
       const workloads::Kernel& kernel, const workloads::CodegenOptions& opts);
-  /// Raw TraceOp form, reassembled from the decoded trace on first request
-  /// and memoized separately (the CLI's raw-trace path; the replay paths
-  /// never call this).
-  std::shared_ptr<const cpu::Trace> get(const workloads::Kernel& kernel,
-                                        const workloads::CodegenOptions& opts);
-  /// Forgets both forms of one trace; handles already given out stay valid.
+  /// Forgets one trace; handles already given out stay valid.
   void drop(const workloads::Kernel& kernel,
             const workloads::CodegenOptions& opts);
 
@@ -90,9 +84,6 @@ class TraceCache {
   };
 
   exec::ConcurrentMemoCache<Key, cpu::DecodedTrace, KeyLess> cache_;
-  /// Raw traces live in their own memo so entries() — the generation count
-  /// tests observe — keeps counting workloads, not diagnostic reassemblies.
-  exec::ConcurrentMemoCache<Key, cpu::Trace, KeyLess> raw_cache_;
 };
 
 /// Stable 64-bit digest of everything that determines a generated trace's
@@ -170,8 +161,9 @@ std::uint64_t simulation_digest(std::string_view kernel_name,
                                 const cpu::SystemConfig& config);
 
 /// Same key space for externally captured traces (the CLI's --trace-in):
-/// kernel identity is replaced by a content digest over every trace op.
-std::uint64_t simulation_digest(const cpu::Trace& trace,
+/// kernel identity is replaced by a content digest over every trace op and
+/// its store payload.
+std::uint64_t simulation_digest(const cpu::DecodedTrace& trace,
                                 const cpu::SystemConfig& config);
 
 /// Runs one kernel on one system configuration with the given codegen.

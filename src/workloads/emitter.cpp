@@ -74,8 +74,6 @@ void Emitter::prefetch(Addr a) {
   builder_.prefetch(a);
 }
 
-cpu::Trace Emitter::take() { return cpu::reassemble(take_decoded()); }
-
 cpu::DecodedTrace Emitter::take_decoded() {
   flush_exec();
   return builder_.take();

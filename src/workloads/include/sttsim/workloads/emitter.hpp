@@ -13,16 +13,11 @@
 // Consecutive exec cycles are merged into single trace ops to keep traces
 // compact.
 //
-// Emission is direct-to-decoded: ops land in a cpu::DecodedTraceBuilder as
-// packed 16-byte DecodedOps with granule spans precomputed, so the cold
-// campaign path (take_decoded()) never materializes a raw TraceOp vector or
-// runs a separate decode() pass. take() reassembles the raw trace for
-// legacy consumers (trace_io capture, the oracle, direct kernel callers) —
-// byte-identical to what the historical TraceOp-building emitter produced.
+// Ops land in a cpu::DecodedTraceBuilder as packed 16-byte DecodedOps with
+// granule spans precomputed; store payloads stay zero.
 #pragma once
 
 #include "sttsim/cpu/decoded_trace.hpp"
-#include "sttsim/cpu/trace.hpp"
 #include "sttsim/workloads/codegen.hpp"
 #include "sttsim/workloads/data_layout.hpp"
 
@@ -67,13 +62,7 @@ class Emitter {
   /// Explicit software prefetch (no-op unless prefetching is enabled).
   void prefetch(Addr a);
 
-  /// Finishes emission and yields the raw trace (reassembled from the
-  /// decoded form; legacy consumers only — the campaign path uses
-  /// take_decoded()).
-  cpu::Trace take();
-
-  /// Finishes emission and yields the packed decoded trace directly — the
-  /// cold campaign path: no TraceOp vector, no decode() pass.
+  /// Finishes emission and yields the trace.
   cpu::DecodedTrace take_decoded();
 
  private:

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "sttsim/cpu/decoded_trace.hpp"
-#include "sttsim/cpu/trace.hpp"
 #include "sttsim/workloads/codegen.hpp"
 
 namespace sttsim::workloads {
@@ -17,16 +16,11 @@ struct Kernel {
   std::string name;
   std::string description;
   std::uint64_t footprint_bytes = 0;  ///< total array bytes at default size
-  std::function<cpu::Trace(const CodegenOptions&)> generate;
-  /// Direct-to-decoded synthesis: the same emission sequence as generate,
-  /// landing in packed DecodedOps without a TraceOp vector or decode()
-  /// pass. Byte-identical to cpu::decode(generate(o)). May be empty on
-  /// hand-rolled Kernel objects (tests); the trace cache falls back to
-  /// decode(generate(o)) then.
+  /// Synthesizes the kernel's trace under the given codegen options.
   std::function<cpu::DecodedTrace(const CodegenOptions&)> generate_decoded;
 };
 
-/// The 14-kernel suite, in a stable report order ending before the AVERAGE
+/// The 26-kernel suite, in a stable report order ending before the AVERAGE
 /// row the figures add.
 const std::vector<Kernel>& polybench_suite();
 

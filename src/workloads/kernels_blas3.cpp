@@ -105,12 +105,6 @@ void gemm_into(Emitter& em, std::uint64_t ni, std::uint64_t nj, std::uint64_t nk
   emit_matmul(em, C, A, B, /*scale_c=*/true);
 }
 
-cpu::Trace gemm(std::uint64_t ni, std::uint64_t nj, std::uint64_t nk, const CodegenOptions& o) {
-  Emitter em(o);
-  gemm_into(em, ni, nj, nk);
-  return em.take();
-}
-
 void syrk_into(Emitter& em, std::uint64_t n, std::uint64_t m) {
   DataLayout mem;
   const Matrix A = mem.matrix("A", n, m);
@@ -141,12 +135,6 @@ void syrk_into(Emitter& em, std::uint64_t n, std::uint64_t m) {
       em.store(C.at(i, j));
     }
   }
-}
-
-cpu::Trace syrk(std::uint64_t n, std::uint64_t m, const CodegenOptions& o) {
-  Emitter em(o);
-  syrk_into(em, n, m);
-  return em.take();
 }
 
 void syr2k_into(Emitter& em, std::uint64_t n, std::uint64_t m) {
@@ -183,12 +171,6 @@ void syr2k_into(Emitter& em, std::uint64_t n, std::uint64_t m) {
       em.store(C.at(i, j));
     }
   }
-}
-
-cpu::Trace syr2k(std::uint64_t n, std::uint64_t m, const CodegenOptions& o) {
-  Emitter em(o);
-  syr2k_into(em, n, m);
-  return em.take();
 }
 
 void trmm_into(Emitter& em, std::uint64_t n, std::uint64_t m) {
@@ -260,12 +242,6 @@ void trmm_into(Emitter& em, std::uint64_t n, std::uint64_t m) {
   }
 }
 
-cpu::Trace trmm(std::uint64_t n, std::uint64_t m, const CodegenOptions& o) {
-  Emitter em(o);
-  trmm_into(em, n, m);
-  return em.take();
-}
-
 void two_mm_into(Emitter& em, std::uint64_t ni, std::uint64_t nj, std::uint64_t nk, std::uint64_t nl) {
   DataLayout mem;
   const Matrix A = mem.matrix("A", ni, nk);
@@ -275,12 +251,6 @@ void two_mm_into(Emitter& em, std::uint64_t ni, std::uint64_t nj, std::uint64_t 
   const Matrix D = mem.matrix("D", ni, nl);
   emit_matmul(em, tmp, A, B, /*scale_c=*/false);
   emit_matmul(em, D, tmp, C, /*scale_c=*/true);
-}
-
-cpu::Trace two_mm(std::uint64_t ni, std::uint64_t nj, std::uint64_t nk, std::uint64_t nl, const CodegenOptions& o) {
-  Emitter em(o);
-  two_mm_into(em, ni, nj, nk, nl);
-  return em.take();
 }
 
 void three_mm_into(Emitter& em, std::uint64_t ni, std::uint64_t nj, std::uint64_t nk, std::uint64_t nl, std::uint64_t nm) {
@@ -295,12 +265,6 @@ void three_mm_into(Emitter& em, std::uint64_t ni, std::uint64_t nj, std::uint64_
   emit_matmul(em, E, A, B, /*scale_c=*/false);
   emit_matmul(em, F, C, D, /*scale_c=*/false);
   emit_matmul(em, G, E, F, /*scale_c=*/false);
-}
-
-cpu::Trace three_mm(std::uint64_t ni, std::uint64_t nj, std::uint64_t nk, std::uint64_t nl, std::uint64_t nm, const CodegenOptions& o) {
-  Emitter em(o);
-  three_mm_into(em, ni, nj, nk, nl, nm);
-  return em.take();
 }
 
 }  // namespace sttsim::workloads

@@ -76,12 +76,6 @@ void cholesky_into(Emitter& em, std::uint64_t n) {
   }
 }
 
-cpu::Trace cholesky(std::uint64_t n, const CodegenOptions& o) {
-  Emitter em(o);
-  cholesky_into(em, n);
-  return em.take();
-}
-
 void lu_into(Emitter& em, std::uint64_t n) {
   const CodegenOptions& o = em.options();
   DataLayout mem;
@@ -154,12 +148,6 @@ void lu_into(Emitter& em, std::uint64_t n) {
           });
     }
   }
-}
-
-cpu::Trace lu(std::uint64_t n, const CodegenOptions& o) {
-  Emitter em(o);
-  lu_into(em, n);
-  return em.take();
 }
 
 void symm_into(Emitter& em, std::uint64_t m, std::uint64_t n) {
@@ -237,12 +225,6 @@ void symm_into(Emitter& em, std::uint64_t m, std::uint64_t n) {
   }
 }
 
-cpu::Trace symm(std::uint64_t m, std::uint64_t n, const CodegenOptions& o) {
-  Emitter em(o);
-  symm_into(em, m, n);
-  return em.take();
-}
-
 void doitgen_into(Emitter& em, std::uint64_t nr, std::uint64_t nq, std::uint64_t np) {
   const CodegenOptions& o = em.options();
   DataLayout mem;
@@ -314,12 +296,6 @@ void doitgen_into(Emitter& em, std::uint64_t nr, std::uint64_t nq, std::uint64_t
   }
 }
 
-cpu::Trace doitgen(std::uint64_t nr, std::uint64_t nq, std::uint64_t np, const CodegenOptions& o) {
-  Emitter em(o);
-  doitgen_into(em, nr, nq, np);
-  return em.take();
-}
-
 void seidel_2d_into(Emitter& em, std::uint64_t n, std::uint64_t tsteps) {
   const CodegenOptions& o = em.options();
   DataLayout mem;
@@ -348,12 +324,6 @@ void seidel_2d_into(Emitter& em, std::uint64_t n, std::uint64_t tsteps) {
       }
     }
   }
-}
-
-cpu::Trace seidel_2d(std::uint64_t n, std::uint64_t tsteps, const CodegenOptions& o) {
-  Emitter em(o);
-  seidel_2d_into(em, n, tsteps);
-  return em.take();
 }
 
 void covariance_into(Emitter& em, std::uint64_t m, std::uint64_t n) {
@@ -513,12 +483,6 @@ void covariance_into(Emitter& em, std::uint64_t m, std::uint64_t n) {
   }
 }
 
-cpu::Trace covariance(std::uint64_t m, std::uint64_t n, const CodegenOptions& o) {
-  Emitter em(o);
-  covariance_into(em, m, n);
-  return em.take();
-}
-
 void floyd_warshall_into(Emitter& em, std::uint64_t n) {
   const CodegenOptions& o = em.options();
   DataLayout mem;
@@ -548,12 +512,6 @@ void floyd_warshall_into(Emitter& em, std::uint64_t n) {
           });
     }
   }
-}
-
-cpu::Trace floyd_warshall(std::uint64_t n, const CodegenOptions& o) {
-  Emitter em(o);
-  floyd_warshall_into(em, n);
-  return em.take();
 }
 
 }  // namespace sttsim::workloads

@@ -88,12 +88,6 @@ void durbin_into(Emitter& em, std::uint64_t n) {
   }
 }
 
-cpu::Trace durbin(std::uint64_t n, const CodegenOptions& o) {
-  Emitter em(o);
-  durbin_into(em, n);
-  return em.take();
-}
-
 void gramschmidt_into(Emitter& em, std::uint64_t m, std::uint64_t n) {
   const CodegenOptions& o = em.options();
   DataLayout mem;
@@ -212,12 +206,6 @@ void gramschmidt_into(Emitter& em, std::uint64_t m, std::uint64_t n) {
   }
 }
 
-cpu::Trace gramschmidt(std::uint64_t m, std::uint64_t n, const CodegenOptions& o) {
-  Emitter em(o);
-  gramschmidt_into(em, m, n);
-  return em.take();
-}
-
 void adi_into(Emitter& em, std::uint64_t n, std::uint64_t tsteps) {
   const CodegenOptions& o = em.options();
   DataLayout mem;
@@ -293,12 +281,6 @@ void adi_into(Emitter& em, std::uint64_t n, std::uint64_t tsteps) {
           });
     }
   }
-}
-
-cpu::Trace adi(std::uint64_t n, std::uint64_t tsteps, const CodegenOptions& o) {
-  Emitter em(o);
-  adi_into(em, n, tsteps);
-  return em.take();
 }
 
 void fdtd_2d_into(Emitter& em, std::uint64_t nx, std::uint64_t ny, std::uint64_t tsteps) {
@@ -377,12 +359,6 @@ void fdtd_2d_into(Emitter& em, std::uint64_t nx, std::uint64_t ny, std::uint64_t
   }
 }
 
-cpu::Trace fdtd_2d(std::uint64_t nx, std::uint64_t ny, std::uint64_t tsteps, const CodegenOptions& o) {
-  Emitter em(o);
-  fdtd_2d_into(em, nx, ny, tsteps);
-  return em.take();
-}
-
 void heat_3d_into(Emitter& em, std::uint64_t n, std::uint64_t tsteps) {
   DataLayout mem;
   // Flattened n x n x n grids, row-major in the last dimension.
@@ -432,12 +408,6 @@ void heat_3d_into(Emitter& em, std::uint64_t n, std::uint64_t tsteps) {
     sweep(A, B);
     sweep(B, A);
   }
-}
-
-cpu::Trace heat_3d(std::uint64_t n, std::uint64_t tsteps, const CodegenOptions& o) {
-  Emitter em(o);
-  heat_3d_into(em, n, tsteps);
-  return em.take();
 }
 
 }  // namespace sttsim::workloads

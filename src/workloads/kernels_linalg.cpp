@@ -76,12 +76,6 @@ void atax_into(Emitter& em, std::uint64_t m, std::uint64_t n) {
   }
 }
 
-cpu::Trace atax(std::uint64_t m, std::uint64_t n, const CodegenOptions& o) {
-  Emitter em(o);
-  atax_into(em, m, n);
-  return em.take();
-}
-
 void bicg_into(Emitter& em, std::uint64_t m, std::uint64_t n) {
   DataLayout mem;
   const Matrix A = mem.matrix("A", m, n);
@@ -120,12 +114,6 @@ void bicg_into(Emitter& em, std::uint64_t m, std::uint64_t n) {
     if (w > 1) em.flop(2);
     em.store(q.at(i));
   }
-}
-
-cpu::Trace bicg(std::uint64_t m, std::uint64_t n, const CodegenOptions& o) {
-  Emitter em(o);
-  bicg_into(em, m, n);
-  return em.take();
 }
 
 void gemver_into(Emitter& em, std::uint64_t n) {
@@ -242,12 +230,6 @@ void gemver_into(Emitter& em, std::uint64_t n) {
   }
 }
 
-cpu::Trace gemver(std::uint64_t n, const CodegenOptions& o) {
-  Emitter em(o);
-  gemver_into(em, n);
-  return em.take();
-}
-
 void gesummv_into(Emitter& em, std::uint64_t n) {
   DataLayout mem;
   const Matrix A = mem.matrix("A", n, n);
@@ -277,12 +259,6 @@ void gesummv_into(Emitter& em, std::uint64_t n) {
     em.flop(3);  // y[i] = alpha*tmp + beta*yacc
     em.store(y.at(i));
   }
-}
-
-cpu::Trace gesummv(std::uint64_t n, const CodegenOptions& o) {
-  Emitter em(o);
-  gesummv_into(em, n);
-  return em.take();
 }
 
 void mvt_into(Emitter& em, std::uint64_t n) {
@@ -351,12 +327,6 @@ void mvt_into(Emitter& em, std::uint64_t n) {
   }
 }
 
-cpu::Trace mvt(std::uint64_t n, const CodegenOptions& o) {
-  Emitter em(o);
-  mvt_into(em, n);
-  return em.take();
-}
-
 void trisolv_into(Emitter& em, std::uint64_t n) {
   DataLayout mem;
   const Matrix L = mem.matrix("L", n, n);
@@ -384,12 +354,6 @@ void trisolv_into(Emitter& em, std::uint64_t n) {
     em.exec(8);  // the division
     em.store(x.at(i));
   }
-}
-
-cpu::Trace trisolv(std::uint64_t n, const CodegenOptions& o) {
-  Emitter em(o);
-  trisolv_into(em, n);
-  return em.take();
 }
 
 }  // namespace sttsim::workloads

@@ -90,12 +90,6 @@ void jacobi_1d_into(Emitter& em, std::uint64_t n, std::uint64_t tsteps) {
   }
 }
 
-cpu::Trace jacobi_1d(std::uint64_t n, std::uint64_t tsteps, const CodegenOptions& o) {
-  Emitter em(o);
-  jacobi_1d_into(em, n, tsteps);
-  return em.take();
-}
-
 void jacobi_2d_into(Emitter& em, std::uint64_t n, std::uint64_t tsteps) {
   DataLayout mem;
   const Matrix A = mem.matrix("A", n, n);
@@ -105,12 +99,6 @@ void jacobi_2d_into(Emitter& em, std::uint64_t n, std::uint64_t tsteps) {
     sweep_2d(em, A, B, n);
     sweep_2d(em, B, A, n);
   }
-}
-
-cpu::Trace jacobi_2d(std::uint64_t n, std::uint64_t tsteps, const CodegenOptions& o) {
-  Emitter em(o);
-  jacobi_2d_into(em, n, tsteps);
-  return em.take();
 }
 
 }  // namespace sttsim::workloads

@@ -10,10 +10,8 @@ namespace {
 
 std::vector<Kernel> build_suite() {
   std::vector<Kernel> s;
-  // Each suite entry is wired once, as its emission body (X_into); both
-  // trace forms come from the same sequence: generate reassembles the raw
-  // trace for legacy consumers, generate_decoded hands the campaign path
-  // the packed ops directly (no TraceOp vector, no decode pass).
+  // Each suite entry is wired once, as its emission body (X_into) at its
+  // default problem size.
   const auto add = [&](std::string name, std::string desc,
                        std::uint64_t footprint,
                        std::function<void(Emitter&)> emit) {
@@ -21,11 +19,6 @@ std::vector<Kernel> build_suite() {
     k.name = std::move(name);
     k.description = std::move(desc);
     k.footprint_bytes = footprint;
-    k.generate = [emit](const CodegenOptions& o) {
-      Emitter em(o);
-      emit(em);
-      return em.take();
-    };
     k.generate_decoded = [emit = std::move(emit)](const CodegenOptions& o) {
       Emitter em(o);
       emit(em);

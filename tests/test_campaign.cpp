@@ -4,12 +4,15 @@
 // four workers: a throwing point aborts the grid with the lowest-index
 // error once every other point has persisted, an interrupt drains the
 // campaign (a bench exits 130) and a re-run completes only the missing
-// points, and a deadline skips and reports the points not yet started.
-// Fork-based two-process campaigns then share one store file.
+// points, and a deadline skips and reports the points not yet started,
+// which every figure assembly turns into nan cells and a bench into exit
+// code 3. The bench flag parser rejects malformed values. Fork-based
+// two-process campaigns then share one store file.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
@@ -340,6 +343,118 @@ TEST_F(CampaignTest, DeadlineSkipsAndReportsPointsNotStarted) {
       EXPECT_EQ(completed, 1u);
     }
   }
+}
+
+// ---- Degraded figures ------------------------------------------------------
+
+/// Every cell of `fig`, AVERAGE row included.
+std::vector<double> cells(const report::FigureData& fig) {
+  std::vector<double> out;
+  for (const report::Series& s : fig.series) {
+    out.insert(out.end(), s.values.begin(), s.values.end());
+  }
+  return out;
+}
+
+// With an already-spent deadline every point the store does not hold is
+// skipped. The store holds Fig. 1's points (the SRAM baseline and the
+// drop-in NVM, unoptimized), so most figures below mix served and skipped
+// inputs: each cell derived from a skipped point must be nan, not a
+// plausible number, and each cell of served points stays a number.
+TEST_F(CampaignTest, SkippedPointsMakeNanCellsInEveryAssembly) {
+  const std::string path = temp_store_path("degraded");
+  std::remove(path.c_str());
+  ScopedStore store(path);
+  const experiments::KernelFilter kernels = {"atax", "trisolv"};
+  experiments::fig1_dropin_penalty(kernels);
+
+  exec::set_default_deadline(1e-9);
+  auto& telemetry = exec::Telemetry::instance();
+  for (const unsigned width : kWidths) {
+    SCOPED_TRACE("--jobs=" + std::to_string(width));
+    exec::set_default_jobs(width);
+    // Each figure with its number of columns built from served points
+    // only: the energy report's SRAM column, the lifetime figure's drop-in
+    // column.
+    const struct {
+      const char* name;
+      report::FigureData (*figure)(const experiments::KernelFilter&);
+      std::size_t served_columns;
+    } figures[] = {
+        {"fig4", experiments::fig4_rw_breakdown, 0},
+        {"fig6", experiments::fig6_contributions, 0},
+        {"energy", experiments::energy_report, 1},
+        {"retention", experiments::fig_reliability_retention, 0},
+        {"lifetime", experiments::fig_reliability_lifetime, 1},
+    };
+    for (const auto& [name, figure, served_columns] : figures) {
+      const exec::TelemetrySnapshot before = telemetry.snapshot();
+      const report::FigureData fig = figure(kernels);
+      const exec::TelemetrySnapshot delta = telemetry.snapshot() - before;
+      EXPECT_GT(delta.tasks_timed_out, 0u) << name;
+      EXPECT_EQ(delta.simulations, 0u) << name;
+      std::size_t nan = 0;
+      for (const double v : cells(fig)) nan += std::isnan(v);
+      const std::size_t rows = kernels.size() + 1;  // + AVERAGE
+      EXPECT_EQ(nan, cells(fig).size() - served_columns * rows) << name;
+    }
+  }
+  std::remove(path.c_str());
+}
+
+// A bench whose grid skipped points still prints, then says so and exits 3.
+TEST_F(CampaignTest, BenchWithSkippedPointsReportsThemAndExits3) {
+  using namespace std::chrono_literals;
+  std::vector<workloads::Kernel> sleepy;
+  for (const workloads::Kernel& k :
+       experiments::select_kernels({"atax", "mvt"})) {
+    sleepy.push_back(wrap_kernel(k.name, k.name,
+                                 [] { std::this_thread::sleep_for(500ms); }));
+  }
+  const auto jobs = small_grid();
+  const auto run_bench = [&] {
+    char name[] = "bench";
+    char jobs_flag[] = "--jobs=1";
+    char deadline_flag[] = "--deadline=0.25";
+    char* argv[] = {name, jobs_flag, deadline_flag, nullptr};
+    return benchcli::guarded_main(3, argv, [&](const benchcli::Options&) {
+      experiments::TraceCache cache;
+      experiments::run_grid(cache, sleepy, jobs);
+      return 0;
+    });
+  };
+  // One worker: exactly the first point starts before the deadline.
+  EXPECT_EXIT(std::exit(run_bench()), ::testing::ExitedWithCode(3),
+              "5 grid point\\(s\\) skipped past the 0.25 s deadline");
+}
+
+// ---- Bench flags -----------------------------------------------------------
+
+TEST_F(CampaignTest, BenchRejectsMalformedJobsAndDeadline) {
+  for (const char* bad :
+       {"--jobs=abc", "--jobs=", "--jobs=-1", "--jobs=4x", "--jobs= 2",
+        "--jobs=99999999999999999999", "--deadline=abc", "--deadline=",
+        "--deadline=-1", "--deadline=inf", "--deadline=nan",
+        "--deadline=0.5s"}) {
+    SCOPED_TRACE(bad);
+    std::string arg = bad;
+    char name[] = "bench";
+    char* argv[] = {name, arg.data(), nullptr};
+    EXPECT_EXIT(benchcli::parse(2, argv), ::testing::ExitedWithCode(2),
+                "usage");
+  }
+}
+
+TEST_F(CampaignTest, BenchParsesWellFormedJobsAndDeadline) {
+  char name[] = "bench";
+  char jobs_flag[] = "--jobs=2";
+  char deadline_flag[] = "--deadline=0.5";
+  char* argv[] = {name, jobs_flag, deadline_flag, nullptr};
+  const benchcli::Options o = benchcli::parse(3, argv);
+  EXPECT_EQ(o.jobs, 2u);
+  EXPECT_DOUBLE_EQ(o.deadline_s, 0.5);
+  EXPECT_EQ(exec::default_jobs(), 2u);
+  EXPECT_DOUBLE_EQ(exec::default_deadline(), 0.5);
 }
 
 // ---- Two-process campaigns over one store ------------------------------

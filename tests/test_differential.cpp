@@ -50,7 +50,7 @@ TEST_P(DifferentialCampaign, SimulatorMatchesOracleOnRandomTraces) {
   // The three working-set regimes: in-L1, L1-straddling, and L2-bound.
   for (const Addr region : {4 * kKiB, 96 * kKiB, 512 * kKiB}) {
     for (std::uint64_t seed = 1; seed <= seeds; ++seed) {
-      const cpu::Trace trace = random_trace(seed, 600, region);
+      const cpu::DecodedTrace trace = random_trace(seed, 600, region);
       const check::Divergence div = check::run_differential(cfg, trace);
       ASSERT_FALSE(div.diverged)
           << cpu::to_string(GetParam()) << " region " << region << " seed "
@@ -121,7 +121,7 @@ TEST_P(FaultedDifferentialCampaign, OraclePredictsEccCorrectedOutcomes) {
     for (std::uint64_t seed = 1; seed <= seeds; ++seed) {
       const cpu::SystemConfig cfg =
           faulted_campaign_config(GetParam(), /*fault_seed=*/seed);
-      const cpu::Trace trace = random_trace(seed, 600, region);
+      const cpu::DecodedTrace trace = random_trace(seed, 600, region);
       const check::Divergence div = check::run_differential(cfg, trace);
       ASSERT_FALSE(div.diverged)
           << cpu::to_string(GetParam()) << " region " << region << " seed "
@@ -158,23 +158,23 @@ INSTANTIATE_TEST_SUITE_P(AllOrgs, FaultedDifferentialCampaign,
 /// with four conflicting way-stride lines each (64 KiB 2-way DL1 → 32 KiB
 /// way stride), so lines are constantly evicted while their sectors are
 /// still front-buffer resident, then immediately re-touched.
-cpu::Trace conflict_trace(std::uint64_t seed, std::size_t ops) {
+cpu::DecodedTrace conflict_trace(std::uint64_t seed, std::size_t ops) {
   Rng rng(seed);
-  cpu::Trace t;
-  t.reserve(ops);
+  cpu::DecodedTraceBuilder b;
   for (std::size_t i = 0; i < ops; ++i) {
     const Addr addr = 0x10000 + rng.next_below(4) * (32 * kKiB) +
                       rng.next_below(2) * 64 +
                       align_down(rng.next_below(64), 8);
     const std::uint64_t dice = rng.next_below(100);
     if (dice < 60) {
-      t.push_back(cpu::make_load(addr, 8));
+      b.load(addr, 8);
     } else if (dice < 90) {
-      t.push_back(cpu::make_store(addr, 8));
+      b.store(addr, 8);
     } else {
-      t.push_back(cpu::make_prefetch(addr));
+      b.prefetch(addr);
     }
   }
+  cpu::DecodedTrace t = b.take();
   cpu::assign_store_values(t, seed);
   return t;
 }
@@ -183,11 +183,11 @@ cpu::Trace conflict_trace(std::uint64_t seed, std::size_t ops) {
 /// perturbs the *oracle* (the reference model stands in for a buggy
 /// simulator); the driver must flag the disagreement either way.
 template <typename TraceGen>
-cpu::Trace find_diverging_trace(const cpu::SystemConfig& cfg,
-                                const check::OracleFaults& faults,
-                                TraceGen gen) {
+cpu::DecodedTrace find_diverging_trace(const cpu::SystemConfig& cfg,
+                                       const check::OracleFaults& faults,
+                                       TraceGen gen) {
   for (std::uint64_t seed = 1; seed <= 50; ++seed) {
-    cpu::Trace trace = gen(seed);
+    cpu::DecodedTrace trace = gen(seed);
     if (check::run_differential(cfg, trace, faults).diverged) return trace;
   }
   return {};
@@ -206,7 +206,7 @@ TEST_P(DifferentialCampaign, FlagsInjectedStaleFrontFault) {
   cfg.clock_ghz = 1.4;
   const bool fronted = GetParam() != Dl1Organization::kSramBaseline &&
                        GetParam() != Dl1Organization::kNvmDropIn;
-  const cpu::Trace trace = find_diverging_trace(
+  const cpu::DecodedTrace trace = find_diverging_trace(
       cfg, faults, [](std::uint64_t seed) { return conflict_trace(seed, 400); });
   EXPECT_EQ(!trace.empty(), fronted);
 }
@@ -219,7 +219,7 @@ TEST(FaultInjection, DroppedFrontInvalidateIsCaughtAndMinimized) {
   check::OracleFaults faults;
   faults.drop_front_invalidate_on_l1_evict = true;
 
-  const cpu::Trace trace = find_diverging_trace(
+  const cpu::DecodedTrace trace = find_diverging_trace(
       cfg, faults, [](std::uint64_t seed) { return conflict_trace(seed, 400); });
   ASSERT_FALSE(trace.empty()) << "fault was never exposed";
 
@@ -229,6 +229,18 @@ TEST(FaultInjection, DroppedFrontInvalidateIsCaughtAndMinimized) {
   EXPECT_GE(min.probes, 2u);
   // The minimal trace must still be a genuine reproducer on a fresh run.
   EXPECT_TRUE(check::run_differential(cfg, min.trace, faults).diverged);
+  // Each kept store kept its own payload: the minimal sidecar has one entry
+  // per store and is a subsequence of the original (payloads are distinct).
+  const std::size_t stores = static_cast<std::size_t>(std::count_if(
+      min.trace.ops.begin(), min.trace.ops.end(),
+      [](const cpu::DecodedOp& op) { return op.kind == cpu::OpKind::kStore; }));
+  EXPECT_EQ(min.trace.store_values.size(), stores);
+  auto from = trace.store_values.begin();
+  for (const std::uint64_t v : min.trace.store_values) {
+    from = std::find(from, trace.store_values.end(), v);
+    ASSERT_NE(from, trace.store_values.end()) << "payload " << v;
+    ++from;
+  }
 }
 
 TEST(FaultInjection, SkippedFillRegisterInvalidateIsCaught) {
@@ -239,7 +251,7 @@ TEST(FaultInjection, SkippedFillRegisterInvalidateIsCaught) {
   check::OracleFaults faults;
   faults.skip_fill_register_invalidate_on_store = true;
 
-  const cpu::Trace trace = find_diverging_trace(
+  const cpu::DecodedTrace trace = find_diverging_trace(
       cfg, faults,
       [](std::uint64_t seed) { return random_trace(seed, 4000, 96 * kKiB); });
   ASSERT_FALSE(trace.empty()) << "fault was never exposed";
@@ -259,7 +271,7 @@ TEST(FaultInjection, SkippedEccCorrectionLatencyIsCaughtAndMinimized) {
   check::OracleFaults faults;
   faults.skip_ecc_correction_latency = true;
 
-  const cpu::Trace trace = find_diverging_trace(
+  const cpu::DecodedTrace trace = find_diverging_trace(
       cfg, faults,
       [](std::uint64_t seed) { return random_trace(seed, 600, 8 * kKiB); });
   ASSERT_FALSE(trace.empty()) << "fault was never exposed";
@@ -292,7 +304,7 @@ TEST(FaultInjection, ReproducerArtifactRoundTrips) {
   check::OracleFaults faults;
   faults.drop_front_invalidate_on_l1_evict = true;
 
-  const cpu::Trace trace = find_diverging_trace(
+  const cpu::DecodedTrace trace = find_diverging_trace(
       cfg, faults, [](std::uint64_t seed) { return conflict_trace(seed, 400); });
   ASSERT_FALSE(trace.empty());
   const check::MinimizeResult min = check::minimize_trace(cfg, trace, faults);
@@ -303,7 +315,7 @@ TEST(FaultInjection, ReproducerArtifactRoundTrips) {
   const std::string path =
       check::write_reproducer(dir, "vwb_inclusion", cfg, min);
   // The written trace replays to the same divergence field at the same op.
-  const cpu::Trace replay = cpu::read_trace_file(path);
+  const cpu::DecodedTrace replay = cpu::read_trace_file(path);
   EXPECT_EQ(replay, min.trace);
   const check::Divergence again = check::run_differential(cfg, replay, faults);
   EXPECT_TRUE(again.diverged);

@@ -30,11 +30,11 @@ TEST(Harness, GainPct) {
 TEST(Harness, TraceCacheMemoizesPerKernelAndOptions) {
   TraceCache cache;
   const auto& k = workloads::find_kernel("trisolv");
-  const auto a = cache.get(k, workloads::CodegenOptions::none());
-  const auto b = cache.get(k, workloads::CodegenOptions::none());
+  const auto a = cache.get_decoded(k, workloads::CodegenOptions::none());
+  const auto b = cache.get_decoded(k, workloads::CodegenOptions::none());
   EXPECT_EQ(a, b);
   EXPECT_EQ(cache.entries(), 1u);
-  cache.get(k, workloads::CodegenOptions::all());
+  cache.get_decoded(k, workloads::CodegenOptions::all());
   EXPECT_EQ(cache.entries(), 2u);
 }
 

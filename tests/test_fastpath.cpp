@@ -3,8 +3,8 @@
 // differential oracle drives. Observing must change nothing — same cycles,
 // same stall breakdown, same memory-hierarchy counters — for every
 // organization and for the fault-injecting decorator. These tests pin that
-// on randomized and kernel traces, and pin the decoded-trace representation
-// itself (decode/reassemble round trip, precomputed spans).
+// on randomized and kernel traces, and pin the trace representation itself
+// (precomputed spans, the store-payload sidecar).
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -14,7 +14,6 @@
 #include "sttsim/cpu/decoded_trace.hpp"
 #include "sttsim/cpu/system.hpp"
 #include "sttsim/util/rng.hpp"
-#include "sttsim/workloads/kernels.hpp"
 #include "trace_util.hpp"
 
 namespace {
@@ -94,7 +93,7 @@ TEST(ObservedRun, MatchesUnobservedOnRandomTraces) {
       // Region sweeps from cache-resident to thrashing the 64 KiB DL1.
       const Addr region = Addr{8} << (10 + 2 * (seed % 4));
       expect_observed_matches_unobserved(
-          cfg, cpu::decode(testutil::random_trace(seed, 4000, region)),
+          cfg, testutil::random_trace(seed, 4000, region),
           label(cfg) + " seed " + std::to_string(seed));
     }
   }
@@ -103,8 +102,8 @@ TEST(ObservedRun, MatchesUnobservedOnRandomTraces) {
 TEST(ObservedRun, MatchesUnobservedOnKernelTrace) {
   // The same decoded trace is shared (read-only) across organizations,
   // exactly as the grid's trace cache shares it across workers.
-  const cpu::DecodedTrace decoded = cpu::decode(
-      workloads::gemm(20, 20, 20, workloads::CodegenOptions::none()));
+  const cpu::DecodedTrace decoded = testutil::kernel_trace(
+      workloads::gemm_into, workloads::CodegenOptions::none(), 20, 20, 20);
   for (const cpu::SystemConfig& cfg : all_instantiations()) {
     const sim::RunStats s =
         expect_observed_matches_unobserved(cfg, decoded, label(cfg));
@@ -115,41 +114,24 @@ TEST(ObservedRun, MatchesUnobservedOnKernelTrace) {
   }
 }
 
-TEST(ObservedRun, RawTraceOverloadDecodesOnTheFly) {
-  const cpu::Trace trace = testutil::random_trace(99, 2000, 64 * kKiB);
-  for (const cpu::SystemConfig& cfg : all_instantiations()) {
-    cpu::System system(cfg);
-    expect_identical(system.run(trace), system.run(cpu::decode(trace)),
-                     label(cfg) + " run(Trace) overload");
-  }
-}
-
-TEST(DecodedTrace, RoundTripsExactly) {
-  for (std::uint64_t seed = 1; seed <= 16; ++seed) {
-    const cpu::Trace trace = testutil::random_trace(seed, 1000, 256 * kKiB);
-    const cpu::Trace back = cpu::reassemble(cpu::decode(trace));
-    ASSERT_EQ(back.size(), trace.size());
-    for (std::size_t i = 0; i < trace.size(); ++i) {
-      SCOPED_TRACE("seed " + std::to_string(seed) + " op " +
-                   std::to_string(i));
-      EXPECT_EQ(back[i], trace[i]);
-    }
-  }
-}
-
-TEST(DecodedTrace, StoreValuesLandInSidecarInOrder) {
-  cpu::Trace trace;
-  trace.push_back(cpu::make_store(0x100, 8, 0xAA));
-  trace.push_back(cpu::make_load(0x200, 8));
-  trace.push_back(cpu::make_store(0x300, 4, 0xBB));
-  trace.push_back(cpu::make_exec(3));
-  trace.push_back(cpu::make_store(0x400, 2, 0xCC));
-  const cpu::DecodedTrace d = cpu::decode(trace);
+TEST(DecodedTrace, EmptySidecarMeansZeroPayloads) {
+  cpu::DecodedTraceBuilder b;
+  b.store(0x100, 8);
+  b.load(0x200, 8);
+  b.store(0x300, 4);
+  b.exec(3);
+  b.store(0x400, 2);
+  cpu::DecodedTrace d = b.take();
+  ASSERT_TRUE(d.store_values.empty());
+  for (std::size_t i = 0; i < 3; ++i) EXPECT_EQ(d.store_value(i), 0u);
+  // Real payloads: one per store, in store-ordinal order.
+  cpu::assign_store_values(d, 5);
   ASSERT_EQ(d.store_values.size(), 3u);
-  EXPECT_EQ(d.store_values[0], 0xAAu);
-  EXPECT_EQ(d.store_values[1], 0xBBu);
-  EXPECT_EQ(d.store_values[2], 0xCCu);
-  EXPECT_EQ(d.ops.size(), trace.size());
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(d.store_value(i), d.store_values[i]);
+    EXPECT_NE(d.store_value(i), 0u);
+  }
+  EXPECT_EQ(d.ops.size(), 5u);
 }
 
 TEST(DecodedTrace, PrecomputedSpansMatchOnTheFly) {
@@ -157,8 +139,9 @@ TEST(DecodedTrace, PrecomputedSpansMatchOnTheFly) {
   for (int i = 0; i < 2000; ++i) {
     const Addr addr = rng.next_below(1 * kMiB);
     const unsigned size = 1u + static_cast<unsigned>(rng.next_below(64));
-    cpu::Trace one{cpu::make_load(addr, size)};
-    const cpu::DecodedOp op = cpu::decode(one).ops[0];
+    cpu::DecodedTraceBuilder one;
+    one.load(addr, static_cast<std::uint8_t>(size));
+    const cpu::DecodedOp op = one.take().ops[0];
     for (const unsigned shift : {5u, 6u, 7u}) {
       const Addr mask = (Addr{1} << shift) - 1;
       const unsigned expected = static_cast<unsigned>(
@@ -170,8 +153,10 @@ TEST(DecodedTrace, PrecomputedSpansMatchOnTheFly) {
 }
 
 TEST(DecodedTrace, ExecOpsCarryCountAndNoSpans) {
-  cpu::Trace trace{cpu::make_exec(17), cpu::make_prefetch(0x1234)};
-  const cpu::DecodedTrace d = cpu::decode(trace);
+  cpu::DecodedTraceBuilder b;
+  b.exec(17);
+  b.prefetch(0x1234);
+  const cpu::DecodedTrace d = b.take();
   EXPECT_EQ(d.ops[0].count, 17u);
   EXPECT_EQ(d.ops[0].kind, cpu::OpKind::kExec);
   EXPECT_EQ(d.ops[1].kind, cpu::OpKind::kPrefetch);

@@ -26,7 +26,7 @@ class FuzzSeeds : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(FuzzSeeds, EveryOrganizationUpholdsAccountingInvariants) {
   // A mix of working-set sizes: in-L1, L1-straddling, and L2-bound.
   for (const Addr region : {4 * kKiB, 96 * kKiB, 512 * kKiB}) {
-    const cpu::Trace trace = random_trace(GetParam(), 20000, region);
+    const cpu::DecodedTrace trace = random_trace(GetParam(), 20000, region);
     const auto expect = cpu::summarize(trace);
     for (const auto org : kAllOrgs) {
       cpu::SystemConfig cfg;
@@ -55,7 +55,7 @@ TEST_P(FuzzSeeds, EveryOrganizationUpholdsAccountingInvariants) {
 }
 
 TEST_P(FuzzSeeds, DeterministicAcrossRuns) {
-  const cpu::Trace trace = random_trace(GetParam(), 10000, 128 * kKiB);
+  const cpu::DecodedTrace trace = random_trace(GetParam(), 10000, 128 * kKiB);
   for (const auto org : kAllOrgs) {
     cpu::SystemConfig cfg;
     cfg.organization = org;
@@ -75,7 +75,7 @@ TEST_P(FuzzSeeds, VwbInclusionHolds) {
   // A tiny DL1 (via the stt params) forces constant eviction churn.
   cfg.stt = tech::scale_capacity(cfg.stt, 4 * kKiB);
   cpu::System small_system(cfg);
-  const cpu::Trace trace = random_trace(GetParam(), 20000, region);
+  const cpu::DecodedTrace trace = random_trace(GetParam(), 20000, region);
   small_system.run(trace);
   const auto& dl1 =
       dynamic_cast<const core::VwbDl1System&>(small_system.dl1());
@@ -87,7 +87,7 @@ TEST_P(FuzzSeeds, VwbInclusionHolds) {
 }
 
 TEST_P(FuzzSeeds, SramBaselineIsNeverBeatenByDropIn) {
-  const cpu::Trace trace = random_trace(GetParam(), 20000, 32 * kKiB);
+  const cpu::DecodedTrace trace = random_trace(GetParam(), 20000, 32 * kKiB);
   cpu::SystemConfig s_cfg;
   s_cfg.organization = Dl1Organization::kSramBaseline;
   cpu::SystemConfig n_cfg;

@@ -8,6 +8,7 @@
 #include "sttsim/experiments/harness.hpp"
 #include "sttsim/workloads/kernels.hpp"
 #include "sttsim/workloads/suite.hpp"
+#include "trace_util.hpp"
 
 namespace sttsim {
 namespace {
@@ -15,7 +16,7 @@ namespace {
 using cpu::Dl1Organization;
 using workloads::CodegenOptions;
 
-sim::RunStats run(const cpu::Trace& trace, Dl1Organization org,
+sim::RunStats run(const cpu::DecodedTrace& trace, Dl1Organization org,
                   unsigned vwb_kbit = 2) {
   cpu::SystemConfig cfg;
   cfg.organization = org;
@@ -25,13 +26,17 @@ sim::RunStats run(const cpu::Trace& trace, Dl1Organization org,
 }
 
 // Small, fast kernel instances (not the full-size suite defaults).
-cpu::Trace small_kernel(const std::string& name, const CodegenOptions& o) {
-  if (name == "gemm") return workloads::gemm(24, 24, 24, o);
-  if (name == "atax") return workloads::atax(48, 48, o);
-  if (name == "mvt") return workloads::mvt(48, o);
-  if (name == "jacobi-1d") return workloads::jacobi_1d(2048, 4, o);
-  if (name == "syr2k") return workloads::syr2k(24, 24, o);
-  if (name == "trisolv") return workloads::trisolv(96, o);
+cpu::DecodedTrace small_kernel(const std::string& name,
+                               const CodegenOptions& o) {
+  using testutil::kernel_trace;
+  if (name == "gemm") return kernel_trace(workloads::gemm_into, o, 24, 24, 24);
+  if (name == "atax") return kernel_trace(workloads::atax_into, o, 48, 48);
+  if (name == "mvt") return kernel_trace(workloads::mvt_into, o, 48);
+  if (name == "jacobi-1d") {
+    return kernel_trace(workloads::jacobi_1d_into, o, 2048, 4);
+  }
+  if (name == "syr2k") return kernel_trace(workloads::syr2k_into, o, 24, 24);
+  if (name == "trisolv") return kernel_trace(workloads::trisolv_into, o, 96);
   throw ConfigError("unknown small kernel " + name);
 }
 
@@ -173,13 +178,14 @@ TEST(L0VsEmshr, L0CapturesL1HitLocalityEmshrDoesNot) {
   // A working set resident in the DL1 but bigger than the front: the L0
   // (allocate-on-access) keeps capturing it, the EMSHR (allocate-on-miss)
   // stops benefiting once the DL1 holds everything.
-  cpu::Trace trace;
+  cpu::DecodedTraceBuilder b;
   for (int rep = 0; rep < 50; ++rep) {
     for (Addr a = 0; a < 16 * 64; a += 8) {
-      trace.push_back(cpu::make_load(0x10000 + a, 8));
-      trace.push_back(cpu::make_exec(2));
+      b.load(0x10000 + a, 8);
+      b.exec(2);
     }
   }
+  const cpu::DecodedTrace trace = b.take();
   const auto l0 = run(trace, Dl1Organization::kNvmL0);
   const auto emshr = run(trace, Dl1Organization::kNvmEmshr);
   // 16 lines fit in the DL1: after the cold pass the EMSHR never re-fills,

@@ -89,13 +89,14 @@ TEST(TraceCacheConcurrency, ManyThreadsOneGenerationPerKey) {
   const workloads::CodegenOptions base = workloads::CodegenOptions::none();
   const workloads::CodegenOptions full = workloads::CodegenOptions::all();
   std::vector<std::thread> threads;
-  std::vector<std::shared_ptr<const cpu::Trace>> seen(8 * 4);
+  std::vector<std::shared_ptr<const cpu::DecodedTrace>> seen(8 * 4);
   for (int t = 0; t < 8; ++t) {
     threads.emplace_back([&, t] {
       for (int i = 0; i < 4; ++i) {
         const auto& kernel = kernels[static_cast<std::size_t>(i) % 2];
         const auto& opts = (i / 2 == 0) ? base : full;
-        seen[static_cast<std::size_t>(t * 4 + i)] = cache.get(kernel, opts);
+        seen[static_cast<std::size_t>(t * 4 + i)] =
+            cache.get_decoded(kernel, opts);
       }
     });
   }

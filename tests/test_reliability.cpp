@@ -13,6 +13,7 @@
 #include "sttsim/util/check.hpp"
 #include "sttsim/util/rng.hpp"
 #include "sttsim/workloads/kernels.hpp"
+#include "trace_util.hpp"
 
 namespace sttsim::reliability {
 namespace {
@@ -137,7 +138,8 @@ TEST(Endurance, EndToEndSttOutlivesPramByTenOrders) {
   cfg.organization = cpu::Dl1Organization::kNvmVwb;
   cpu::System system(cfg);
   const auto trace =
-      workloads::jacobi_1d(2048, 4, workloads::CodegenOptions::none());
+      testutil::kernel_trace(workloads::jacobi_1d_into,
+                             workloads::CodegenOptions::none(), 2048, 4);
   const auto stats = system.run(trace);
   const WearProfile wear =
       profile_wear(system.dl1().array(), stats.core.total_cycles);
@@ -370,7 +372,8 @@ TEST(FaultyDl1, AddsPenaltiesAndSurfacesCountersThroughStats) {
   ASSERT_TRUE(faulty_cfg.faults_active());
 
   const auto trace =
-      workloads::jacobi_1d(2048, 4, workloads::CodegenOptions::none());
+      testutil::kernel_trace(workloads::jacobi_1d_into,
+                             workloads::CodegenOptions::none(), 2048, 4);
   cpu::System clean(clean_cfg);
   cpu::System faulty(faulty_cfg);
   const auto clean_stats = clean.run(trace);
@@ -400,7 +403,8 @@ TEST(FaultyDl1, SramBaselineIgnoresFaultConfig) {
   EXPECT_FALSE(cfg.faults_active());
   cpu::System sys(cfg);
   const auto trace =
-      workloads::jacobi_1d(1024, 2, workloads::CodegenOptions::none());
+      testutil::kernel_trace(workloads::jacobi_1d_into,
+                             workloads::CodegenOptions::none(), 1024, 2);
   const auto stats = sys.run(trace);
   EXPECT_EQ(stats.mem.ecc_corrections, 0u);
   EXPECT_EQ(stats.mem.ecc_refills, 0u);
@@ -410,16 +414,16 @@ TEST(FaultyDl1, WearCountersPopulatedOnEveryReplayPath) {
   cpu::SystemConfig cfg;
   cfg.organization = cpu::Dl1Organization::kNvmVwb;
   const auto trace =
-      workloads::jacobi_1d(1024, 2, workloads::CodegenOptions::none());
+      testutil::kernel_trace(workloads::jacobi_1d_into,
+                             workloads::CodegenOptions::none(), 1024, 2);
   cpu::System sys(cfg);
-  const auto from_decoded = sys.run(cpu::decode(trace));
+  const auto fast = sys.run(trace);
   cpu::System sys2(cfg);
-  const auto from_raw = sys2.run(trace);
-  EXPECT_GT(from_decoded.mem.l1_frame_writes_total, 0u);
-  EXPECT_EQ(from_decoded.mem.l1_frame_writes_max,
-            from_raw.mem.l1_frame_writes_max);
-  EXPECT_EQ(from_decoded.mem.l1_frame_writes_total,
-            from_raw.mem.l1_frame_writes_total);
+  const auto observed = sys2.run(trace, [](const cpu::OpEvent&) {});
+  EXPECT_GT(fast.mem.l1_frame_writes_total, 0u);
+  EXPECT_EQ(fast.mem.l1_frame_writes_max, observed.mem.l1_frame_writes_max);
+  EXPECT_EQ(fast.mem.l1_frame_writes_total,
+            observed.mem.l1_frame_writes_total);
 }
 
 }  // namespace

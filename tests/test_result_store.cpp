@@ -24,6 +24,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "sttsim/cpu/trace_io.hpp"
 #include "sttsim/exec/parallel_executor.hpp"
 #include "sttsim/exec/result_store.hpp"
 #include "sttsim/exec/telemetry.hpp"
@@ -596,17 +597,44 @@ TEST(SimulationDigest, EveryVisitedFieldReKeysThePoint) {
          "for_each_fault_field";
 }
 
-// The visitor-driven digest hashes the same byte stream as the hand-listed
-// one it replaced, so result stores written before it stay warm.
+// The digest's byte stream is pinned, so result stores stay warm across
+// builds. The values move only with a deliberate version bump (here trace
+// format 3, whose empty store sidecars re-keyed every stored result).
 TEST(SimulationDigest, PinnedValuesKeepExistingStoresWarm) {
+  ASSERT_EQ(cpu::kTraceFormatVersion, 3u);
   cpu::SystemConfig cfg =
       experiments::make_config(cpu::Dl1Organization::kNvmVwb);
   const workloads::CodegenOptions none = workloads::CodegenOptions::none();
   EXPECT_EQ(experiments::simulation_digest("gemm", none, cfg),
-            0x0cd8492c137569b9ULL);
+            0x03f978a36ad6daf0ULL);
   cfg.faults.enabled = true;
   EXPECT_EQ(experiments::simulation_digest("gemm", none, cfg),
-            0x5f8b3b679ef73ad3ULL);
+            0xd2aa640eceb7d5feULL);
+}
+
+// An external trace (the CLI's --trace-in) is keyed by its content: every
+// op and every store payload as the oracle reads it.
+TEST(SimulationDigest, ExternalTraceKeysByContent) {
+  const cpu::SystemConfig cfg =
+      experiments::make_config(cpu::Dl1Organization::kNvmVwb);
+  cpu::DecodedTraceBuilder b;
+  b.load(0x1000, 8);
+  b.store(0x1008, 8);
+  const cpu::DecodedTrace zero = b.take();
+  const std::uint64_t d = experiments::simulation_digest(zero, cfg);
+  cpu::DecodedTrace explicit_zero = zero;
+  explicit_zero.store_values = {0};
+  EXPECT_EQ(experiments::simulation_digest(explicit_zero, cfg), d);
+  cpu::DecodedTrace paid = zero;
+  paid.store_values = {7};
+  EXPECT_NE(experiments::simulation_digest(paid, cfg), d);
+  cpu::DecodedTrace moved = zero;
+  moved.ops[0].addr += 8;
+  EXPECT_NE(experiments::simulation_digest(moved, cfg), d);
+  EXPECT_NE(experiments::simulation_digest(
+                zero, experiments::make_config(cpu::Dl1Organization::kNvmL0)),
+            d);
+  EXPECT_NE(experiments::simulation_digest("gemm", {}, cfg), d);
 }
 
 TEST(SimulationDigest, FaultCampaignFoldsIntoTheKeyOnlyWhenActive) {
@@ -851,7 +879,7 @@ TEST(IncrementalGrid, RunKernelProbesAndFillsStore) {
 }
 
 // RunStats must survive the store's binary encoding exactly — every counter
-// is a u64, so decode(encode(x)) == x bit for bit.
+// is a u64, so decode_run_stats(encode_run_stats(x)) == x bit for bit.
 TEST(RunStatsCodec, ExactRoundTrip) {
   sim::RunStats s;
   s.core.instructions = 0xffffffffffffffffULL;

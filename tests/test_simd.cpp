@@ -1,7 +1,5 @@
 // The explicit-SIMD tag match (util/simd.hpp) must be bit-identical to the
-// scalar loop it replaced, on whichever backend the build selected, and
-// direct-to-decoded synthesis must emit packed DecodedOps byte-identical to
-// decode(generate(·)) for every suite kernel × codegen variant.
+// scalar loop it replaced, on whichever backend the build selected.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -10,15 +8,13 @@
 #include <string>
 #include <vector>
 
-#include "sttsim/cpu/decoded_trace.hpp"
 #include "sttsim/util/simd.hpp"
-#include "sttsim/workloads/suite.hpp"
 
 namespace {
 
 using namespace sttsim;
 
-// ---- 1. Primitives vs scalar references ------------------------------
+// ---- Primitives vs scalar references ---------------------------------
 
 std::uint64_t ref_mask(const std::uint64_t* v, unsigned n, std::uint64_t key) {
   std::uint64_t mask = 0;
@@ -58,32 +54,6 @@ TEST(SimdPrimitives, MatchMaskFindsPlantedUniqueHit) {
     EXPECT_EQ(util::simd::match_mask_u64(v.data(), n, key),
               std::uint64_t{1} << pos)
         << "n=" << n << " pos=" << pos;
-  }
-}
-
-// ---- 2. Direct synthesis == generate-then-decode ---------------------
-
-TEST(DirectSynthesis, ByteIdenticalAcrossSuiteAndCodegen) {
-  workloads::CodegenOptions vec_only;
-  vec_only.vectorize = true;
-  workloads::CodegenOptions pf_only;
-  pf_only.prefetch = true;
-  const workloads::CodegenOptions variants[] = {
-      workloads::CodegenOptions::none(), vec_only, pf_only,
-      workloads::CodegenOptions::all()};
-  for (const workloads::Kernel& k : workloads::polybench_suite()) {
-    ASSERT_TRUE(k.generate_decoded) << k.name;
-    for (std::size_t v = 0; v < std::size(variants); ++v) {
-      SCOPED_TRACE(k.name + " variant " + std::to_string(v));
-      const cpu::DecodedTrace direct = k.generate_decoded(variants[v]);
-      const cpu::DecodedTrace via_decode = cpu::decode(k.generate(variants[v]));
-      ASSERT_EQ(direct.ops.size(), via_decode.ops.size());
-      // Packed 16-byte ops: byte identity, not just field equality.
-      EXPECT_EQ(std::memcmp(direct.ops.data(), via_decode.ops.data(),
-                            direct.ops.size() * sizeof(cpu::DecodedOp)),
-                0);
-      EXPECT_EQ(direct.store_values, via_decode.store_values);
-    }
   }
 }
 

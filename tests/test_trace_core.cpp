@@ -1,5 +1,5 @@
-// Unit tests: trace ops, the replay loop's timing/stall attribution, and
-// the System builder.
+// Unit tests: trace construction and summaries, the replay loop's
+// timing/stall attribution, and the System builder.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -7,28 +7,42 @@
 #include "sttsim/cpu/replay.hpp"
 #include "sttsim/cpu/system.hpp"
 #include "sttsim/util/check.hpp"
+#include "trace_util.hpp"
 
 namespace sttsim::cpu {
 namespace {
 
-TEST(Trace, Constructors) {
-  const TraceOp e = make_exec(5);
-  EXPECT_EQ(e.kind, OpKind::kExec);
-  EXPECT_EQ(e.count, 5u);
-  const TraceOp l = make_load(0x100, 8);
-  EXPECT_EQ(l.kind, OpKind::kLoad);
-  EXPECT_EQ(l.addr, 0x100u);
-  EXPECT_EQ(l.size, 8u);
-  EXPECT_TRUE(l.is_memory());
-  const TraceOp s = make_store(0x200, 32);
-  EXPECT_TRUE(s.is_memory());
-  const TraceOp p = make_prefetch(0x300);
-  EXPECT_FALSE(p.is_memory());
+using testutil::ex;
+using testutil::ld;
+using testutil::pf;
+using testutil::st;
+using testutil::trace_of;
+
+TEST(TraceBuilder, OpsCarryKindAddrSizeAndCount) {
+  cpu::DecodedTraceBuilder b;
+  b.exec(5);
+  b.load(0x100, 8);
+  b.store(0x200, 32);
+  b.prefetch(0x300);
+  const DecodedTrace t = b.take();
+  ASSERT_EQ(t.size(), 4u);
+  EXPECT_EQ(t.ops[0].kind, OpKind::kExec);
+  EXPECT_EQ(t.ops[0].count, 5u);
+  EXPECT_EQ(t.ops[1].kind, OpKind::kLoad);
+  EXPECT_EQ(t.ops[1].addr, 0x100u);
+  EXPECT_EQ(t.ops[1].size, 8u);
+  EXPECT_EQ(t.ops[2].kind, OpKind::kStore);
+  EXPECT_EQ(t.ops[2].size, 32u);
+  EXPECT_EQ(t.ops[3].kind, OpKind::kPrefetch);
+  EXPECT_EQ(t.ops[3].addr, 0x300u);
+  // Generator stores carry zero payloads: an empty sidecar.
+  EXPECT_TRUE(t.store_values.empty());
+  EXPECT_EQ(t.store_value(0), 0u);
 }
 
 TEST(Trace, Summarize) {
-  Trace t{make_exec(10), make_load(0, 8), make_load(8, 8), make_store(16, 4),
-          make_prefetch(64), make_exec(2)};
+  const DecodedTrace t =
+      trace_of({ex(10), ld(0, 8), ld(8, 8), st(16, 4), pf(64), ex(2)});
   const TraceSummary s = summarize(t);
   EXPECT_EQ(s.instructions, 10u + 2 + 1 + 1 + 2);
   EXPECT_EQ(s.loads, 2u);
@@ -40,8 +54,7 @@ TEST(Trace, Summarize) {
 }
 
 TEST(Trace, DescribeMentionsCounts) {
-  Trace t{make_load(0, 8), make_exec(3)};
-  const std::string d = describe(t);
+  const std::string d = describe(trace_of({ld(0, 8), ex(3)}));
   EXPECT_NE(d.find("1 ld"), std::string::npos);
   EXPECT_NE(d.find("3 ex"), std::string::npos);
 }
@@ -70,14 +83,14 @@ class FakeDl1 final : public core::Dl1System {
   mem::SetAssocCache array_{mem::CacheGeometry{1024, 2, 64}};
 };
 
-/// Replays a raw trace against `dl1` through the production loop.
-sim::RunStats run_core(const Trace& trace, FakeDl1& dl1) {
-  return replay(decode(trace), dl1);
+/// Replays hand-written ops against `dl1` through the production loop.
+sim::RunStats run_core(std::initializer_list<testutil::Op> ops, FakeDl1& dl1) {
+  return replay(trace_of(ops), dl1);
 }
 
 TEST(Replay, ExecAdvancesOneCyclePerInstruction) {
   FakeDl1 dl1;
-  const auto s = run_core({make_exec(100)}, dl1);
+  const auto s = run_core({ex(100)}, dl1);
   EXPECT_EQ(s.core.total_cycles, 100u);
   EXPECT_EQ(s.core.instructions, 100u);
   EXPECT_EQ(s.core.stall_cycles(), 0u);
@@ -85,7 +98,7 @@ TEST(Replay, ExecAdvancesOneCyclePerInstruction) {
 
 TEST(Replay, OneCycleLoadDoesNotStall) {
   FakeDl1 dl1;
-  const auto s = run_core({make_load(0, 8), make_load(8, 8)}, dl1);
+  const auto s = run_core({ld(0, 8), ld(8, 8)}, dl1);
   EXPECT_EQ(s.core.total_cycles, 2u);
   EXPECT_EQ(s.core.read_stall_cycles, 0u);
 }
@@ -93,7 +106,7 @@ TEST(Replay, OneCycleLoadDoesNotStall) {
 TEST(Replay, SlowLoadChargesReadStalls) {
   FakeDl1 dl1;
   dl1.load_latency = 4;  // the NVM read
-  const auto s = run_core({make_load(0, 8)}, dl1);
+  const auto s = run_core({ld(0, 8)}, dl1);
   EXPECT_EQ(s.core.total_cycles, 4u);
   EXPECT_EQ(s.core.read_stall_cycles, 3u);
   EXPECT_EQ(s.core.write_stall_cycles, 0u);
@@ -102,14 +115,14 @@ TEST(Replay, SlowLoadChargesReadStalls) {
 TEST(Replay, StoreBackpressureChargesWriteStalls) {
   FakeDl1 dl1;
   dl1.store_delay = 5;
-  const auto s = run_core({make_store(0, 8)}, dl1);
+  const auto s = run_core({st(0, 8)}, dl1);
   EXPECT_EQ(s.core.total_cycles, 5u);
   EXPECT_EQ(s.core.write_stall_cycles, 4u);
 }
 
 TEST(Replay, PrefetchTakesOneCycle) {
   FakeDl1 dl1;
-  const auto s = run_core({make_prefetch(0), make_prefetch(64)}, dl1);
+  const auto s = run_core({pf(0), pf(64)}, dl1);
   EXPECT_EQ(s.core.total_cycles, 2u);
   EXPECT_EQ(s.core.instructions, 2u);
   EXPECT_EQ(dl1.stats().prefetches, 2u);
@@ -119,8 +132,7 @@ TEST(Replay, MixedSequenceAddsUp) {
   FakeDl1 dl1;
   dl1.load_latency = 4;
   // exec(3) -> 3; load -> 1 issue + 3 stall; exec(2) -> 2; store -> 1.
-  const auto s = run_core(
-      {make_exec(3), make_load(0, 8), make_exec(2), make_store(0, 8)}, dl1);
+  const auto s = run_core({ex(3), ld(0, 8), ex(2), st(0, 8)}, dl1);
   EXPECT_EQ(s.core.total_cycles, 3u + 4 + 2 + 1);
   EXPECT_EQ(s.core.instructions, 7u);
   EXPECT_EQ(s.core.mem_instructions, 2u);
@@ -172,8 +184,8 @@ TEST(SystemConfig, ValidateRejectsBadClock) {
 }
 
 TEST(System, EveryOrganizationConstructsAndRuns) {
-  const Trace trace{make_exec(10), make_load(0x1000, 8), make_store(0x1000, 8),
-                    make_prefetch(0x2000), make_load(0x2000, 8)};
+  const DecodedTrace trace = trace_of(
+      {ex(10), ld(0x1000, 8), st(0x1000, 8), pf(0x2000), ld(0x2000, 8)});
   for (const auto org :
        {Dl1Organization::kSramBaseline, Dl1Organization::kNvmDropIn,
         Dl1Organization::kNvmVwb, Dl1Organization::kNvmL0,
@@ -193,7 +205,7 @@ TEST(System, RunResetsState) {
   SystemConfig cfg;
   cfg.organization = Dl1Organization::kNvmVwb;
   System system(cfg);
-  const Trace trace{make_load(0x1000, 8)};
+  const DecodedTrace trace = trace_of({ld(0x1000, 8)});
   const auto first = system.run(trace);
   const auto second = system.run(trace);
   EXPECT_EQ(first.core.total_cycles, second.core.total_cycles);
@@ -204,7 +216,7 @@ TEST(System, RunWarmKeepsState) {
   SystemConfig cfg;
   cfg.organization = Dl1Organization::kNvmVwb;
   System system(cfg);
-  const Trace trace{make_load(0x1000, 8)};
+  const DecodedTrace trace = trace_of({ld(0x1000, 8)});
   system.run(trace);                           // cold miss
   const auto warm = system.run_warm(trace);    // now a hit
   EXPECT_EQ(warm.mem.l1_misses, 1u);           // stats accumulate; no new miss
@@ -217,7 +229,7 @@ TEST(System, SubKBitVwbFallsBackToNarrowFront) {
   cfg.vwb_total_kbit = 1;
   cfg.vwb_lines = 4;  // 4 x 32 B lines: narrower than a DL1 line
   System system(cfg);
-  const auto stats = system.run({make_load(0x1000, 8)});
+  const auto stats = system.run(trace_of({ld(0x1000, 8)}));
   EXPECT_GT(stats.core.total_cycles, 0u);
 }
 
@@ -234,8 +246,8 @@ TEST(System, WriteBufferOrganizationRuns) {
   SystemConfig cfg;
   cfg.organization = Dl1Organization::kNvmWriteBuf;
   System system(cfg);
-  const auto stats = system.run(
-      {make_store(0x1000, 8), make_store(0x1008, 8), make_load(0x1000, 8)});
+  const auto stats =
+      system.run(trace_of({st(0x1000, 8), st(0x1008, 8), ld(0x1000, 8)}));
   EXPECT_EQ(stats.mem.stores, 2u);
   EXPECT_GE(stats.mem.front_store_hits, 1u);
 }
@@ -263,7 +275,8 @@ TEST_P(ClockSweep, SystemRunsAtEveryClock) {
   cfg.clock_ghz = GetParam();
   cfg.organization = Dl1Organization::kNvmVwb;
   System system(cfg);
-  const auto s = system.run({make_load(0x1000, 8), make_store(0x1000, 8)});
+  const auto s =
+      system.run(trace_of({ld(0x1000, 8), st(0x1000, 8)}));
   EXPECT_GT(s.core.total_cycles, 0u);
 }
 

@@ -4,9 +4,10 @@
 // schema/content version), concurrency, cross-process sharing (forked
 // second writers, first-write-wins across processes, recovery from a
 // writer killed mid-append), open-failure diagnostics, the compressed trace
-// form and its blob codec (exact round trip on any op stream, escape
-// fallback, adversarial deltas), the trace-digest key, and the engine-level invariant that a warm trace store
-// serves byte-identical results while generating zero traces.
+// form and its blob codec (exact round trip on any valid op stream, escape
+// fallback, adversarial deltas), the trace-digest key, and the engine-level
+// invariants that a warm trace store serves byte-identical results while
+// generating zero traces and that a malformed stored blob is a miss.
 #include <gtest/gtest.h>
 
 #include <csignal>
@@ -461,12 +462,11 @@ void expect_ops_equal(const cpu::DecodedTrace& a, const cpu::DecodedTrace& b) {
 }
 
 TEST(CompressedTrace, ExactRoundTripOnGeneratedTraces) {
-  // Random fuzz mix and a kernel trace with store payloads: compress must
-  // invert exactly, and the stream must actually be smaller.
+  // Random fuzz mix with store payloads and a kernel trace without:
+  // compress must invert exactly, and the stream must actually be smaller.
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-    cpu::Trace trace = testutil::random_trace(seed, 5000, 1 << 18);
-    cpu::assign_store_values(trace, seed);
-    const cpu::DecodedTrace decoded = cpu::decode(trace);
+    const cpu::DecodedTrace decoded =
+        testutil::random_trace(seed, 5000, 1 << 18);
     const cpu::CompressedTrace compressed = cpu::compress(decoded);
     EXPECT_EQ(compressed.size(), decoded.size());
     EXPECT_LT(compressed.bytes.size(),
@@ -474,9 +474,8 @@ TEST(CompressedTrace, ExactRoundTripOnGeneratedTraces) {
         << "compression should at least halve the op stream";
     expect_ops_equal(cpu::decompress(compressed), decoded);
   }
-  const cpu::Trace kernel =
-      workloads::gemm(16, 16, 16, workloads::CodegenOptions::all());
-  const cpu::DecodedTrace decoded = cpu::decode(kernel);
+  const cpu::DecodedTrace decoded = testutil::kernel_trace(
+      workloads::gemm_into, workloads::CodegenOptions::all(), 16, 16, 16);
   expect_ops_equal(cpu::decompress(cpu::compress(decoded)), decoded);
 }
 
@@ -495,7 +494,7 @@ TEST(CompressedTrace, EscapePathRoundTripsDegenerateOps) {
   multi_load.kind = cpu::OpKind::kLoad;
   multi_load.addr = 0x1000;
   multi_load.size = 8;
-  multi_load.count = 3;  // decode() never emits this
+  multi_load.count = 3;  // generators never emit this
   multi_load.span32 = 1;
   multi_load.span64 = 1;
   weird.ops.push_back(multi_load);
@@ -528,12 +527,13 @@ TEST(CompressedTrace, EscapePathRoundTripsDegenerateOps) {
 
 // ---- Adversarial round-trip properties -------------------------------
 //
-// compress()/decompress() claim to be exact inverses for ANY op stream.
-// The generated-trace tests above only reach the friendly encodings, so
-// these drive the worst corners of the format head-on: address deltas of
-// maximal magnitude in both directions (10-byte zigzag varints, wraparound
-// through 2^64), the prefetch+size+varint tag whose bit pattern collides
-// with the 0xFF escape, and zero-length exec runs.
+// compress()/decompress() claim to be exact inverses for ANY valid op
+// stream (known kinds, loads and stores at least one byte wide). The
+// generated-trace tests above only reach the friendly encodings, so these
+// drive the worst corners of the format head-on: address deltas of maximal
+// magnitude in both directions (10-byte zigzag varints, wraparound through
+// 2^64), the prefetch+size+varint tag whose bit pattern collides with the
+// 0xFF escape, and zero-length exec runs.
 
 cpu::DecodedOp mem_op(cpu::OpKind kind, Addr addr, std::uint8_t size) {
   cpu::DecodedOp op;
@@ -602,9 +602,9 @@ TEST(CompressedTrace, EscapeCollisionTagRoundTrips) {
 
 TEST(CompressedTrace, AdversarialPropertyFuzz) {
   // Property: for 64 seeded random streams mixing every nasty shape —
-  // extreme addresses, every kind, size changes on every op, zero-length
-  // exec runs, and the 62/63/64 inline-count boundary — decompress is the
-  // exact inverse.
+  // extreme addresses, every kind, size changes on every op (zero-size
+  // prefetches included), zero-length exec runs, and the 62/63/64
+  // inline-count boundary — decompress is the exact inverse.
   const Addr hot_spots[] = {0x0ULL,
                             0x1ULL,
                             0x7fffffffffffffffULL,
@@ -613,7 +613,7 @@ TEST(CompressedTrace, AdversarialPropertyFuzz) {
                             0xffffffffffffffffULL,
                             0x1000ULL,
                             0x1008ULL};
-  const std::uint8_t sizes[] = {0, 1, 2, 4, 8, 16, 32, 64, 255};
+  const std::uint8_t sizes[] = {1, 2, 4, 8, 16, 32, 64, 255};
   const std::uint32_t counts[] = {0, 1, 2, 62, 63, 64, 100000};
   for (std::uint64_t seed = 1; seed <= 64; ++seed) {
     Rng rng(seed);
@@ -640,7 +640,9 @@ TEST(CompressedTrace, AdversarialPropertyFuzz) {
           t.ops.push_back(
               mem_op(cpu::OpKind::kPrefetch,
                      hot_spots[rng.next_below(std::size(hot_spots))],
-                     sizes[rng.next_below(std::size(sizes))]));
+                     rng.next_below(4) == 0
+                         ? std::uint8_t{0}
+                         : sizes[rng.next_below(std::size(sizes))]));
       }
     }
     SCOPED_TRACE("seed " + std::to_string(seed));
@@ -651,8 +653,8 @@ TEST(CompressedTrace, AdversarialPropertyFuzz) {
 }
 
 TEST(CompressedBlobCodec, ExactRoundTripAndCorruptionRejected) {
-  const cpu::Trace trace = testutil::random_trace(13, 1500, 1 << 14);
-  const cpu::CompressedTrace compressed = cpu::compress(cpu::decode(trace));
+  const cpu::CompressedTrace compressed =
+      cpu::compress(testutil::random_trace(13, 1500, 1 << 14));
   const std::vector<std::uint8_t> blob = cpu::serialize_compressed(compressed);
 
   cpu::CompressedTrace back;
@@ -756,8 +758,7 @@ TEST(TraceStoreIntegration, WarmRunGeneratesZeroTracesAndStaysIdentical) {
 }
 
 // The stored blob must reproduce the generated workload bit for bit: the
-// decoded ops, the compressed stream, and the raw-trace reassembly all
-// match a storeless generation.
+// ops and the (empty) sidecar match a storeless generation.
 TEST(TraceStoreIntegration, StoredTraceDecodesToIdenticalWorkload) {
   const workloads::Kernel& kernel = workloads::find_kernel("gemm");
   const workloads::CodegenOptions opts = workloads::CodegenOptions::none();
@@ -781,10 +782,38 @@ TEST(TraceStoreIntegration, StoredTraceDecodesToIdenticalWorkload) {
                         warm.ops.size() * sizeof(cpu::DecodedOp)),
             0);
   EXPECT_EQ(warm.store_values, reference.store_values);
-  // The raw-trace view reassembles identically from the stored form too.
-  const cpu::Trace& raw = *cache.get(kernel, opts);
-  const cpu::Trace& ref_raw = *ref_cache.get(kernel, opts);
-  ASSERT_EQ(raw.size(), ref_raw.size());
+  EXPECT_TRUE(warm.store_values.empty());
+  std::remove(path.c_str());
+}
+
+// A stored blob that passes the store's record checksum but holds a
+// malformed stream (here a lone escape tag) must not be expanded: the trace
+// cache counts it as a miss and regenerates the trace.
+TEST(TraceStoreIntegration, MalformedStoredBlobIsAMiss) {
+  const workloads::Kernel& kernel = workloads::find_kernel("trisolv");
+  const workloads::CodegenOptions opts = workloads::CodegenOptions::none();
+  const std::string path = temp_store_path("malformed");
+  std::remove(path.c_str());
+
+  exec::set_trace_store(nullptr);
+  experiments::TraceCache ref_cache;
+  const cpu::DecodedTrace reference = *ref_cache.get_decoded(kernel, opts);
+
+  ScopedTraceStore store(path);
+  cpu::CompressedTrace bad;
+  bad.bytes = {0xFF};
+  bad.op_count = 1;
+  const std::vector<std::uint8_t> blob = cpu::serialize_compressed(bad);
+  store.get().append(experiments::trace_digest(kernel.name, opts),
+                     blob.data(), blob.size());
+  auto& telemetry = exec::Telemetry::instance();
+  const exec::TelemetrySnapshot before = telemetry.snapshot();
+  experiments::TraceCache cache;
+  EXPECT_EQ(*cache.get_decoded(kernel, opts), reference);
+  const exec::TelemetrySnapshot delta = telemetry.snapshot() - before;
+  EXPECT_EQ(delta.trace_store_hits, 0u);
+  EXPECT_EQ(delta.trace_store_misses, 1u);
+  EXPECT_EQ(delta.traces_generated, 1u);
   std::remove(path.c_str());
 }
 

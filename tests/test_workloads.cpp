@@ -4,18 +4,23 @@
 #include <gtest/gtest.h>
 
 #include "sttsim/util/check.hpp"
+#include "sttsim/util/hash.hpp"
 #include "sttsim/workloads/data_layout.hpp"
 #include "sttsim/workloads/emitter.hpp"
 #include "sttsim/workloads/kernels.hpp"
 #include "sttsim/workloads/suite.hpp"
+#include "trace_util.hpp"
 
 namespace sttsim::workloads {
 namespace {
 
 using cpu::summarize;
 using cpu::TraceSummary;
+using testutil::kernel_trace;
 
 const CodegenOptions kBase = CodegenOptions::none();
+const CodegenOptions kVec = CodegenOptions::only_vectorize();
+const CodegenOptions kPf = CodegenOptions::only_prefetch();
 
 TEST(DataLayout, SequentialAlignedAllocation) {
   DataLayout mem(0x10000, 128);
@@ -58,11 +63,11 @@ TEST(Emitter, MergesConsecutiveExec) {
   em.flop(3);
   em.loop_iter();
   em.load(0x100);
-  const cpu::Trace t = em.take();
+  const cpu::DecodedTrace t = em.take_decoded();
   ASSERT_EQ(t.size(), 2u);
-  EXPECT_EQ(t[0].kind, cpu::OpKind::kExec);
-  EXPECT_EQ(t[0].count, 2u + 3 + 3);  // loop_iter = 3 without branch opts
-  EXPECT_EQ(t[1].kind, cpu::OpKind::kLoad);
+  EXPECT_EQ(t.ops[0].kind, cpu::OpKind::kExec);
+  EXPECT_EQ(t.ops[0].count, 2u + 3 + 3);  // loop_iter = 3 without branch opts
+  EXPECT_EQ(t.ops[1].kind, cpu::OpKind::kLoad);
 }
 
 TEST(Emitter, BranchOptsShrinkLoopOverhead) {
@@ -72,8 +77,8 @@ TEST(Emitter, BranchOptsShrinkLoopOverhead) {
   Emitter opt(CodegenOptions::only_branch_opts());
   opt.loop_iter();
   opt.loop_setup();
-  EXPECT_EQ(summarize(plain.take()).instructions, 6u);  // 3 + 3
-  EXPECT_EQ(summarize(opt.take()).instructions, 2u);    // 1 + 1
+  EXPECT_EQ(summarize(plain.take_decoded()).instructions, 6u);  // 3 + 3
+  EXPECT_EQ(summarize(opt.take_decoded()).instructions, 2u);    // 1 + 1
 }
 
 TEST(Emitter, WidthFollowsVectorization) {
@@ -85,7 +90,7 @@ TEST(Emitter, StreamLoadDropsPrefetchAtLineBoundary) {
   CodegenOptions o = CodegenOptions::only_prefetch();
   Emitter em(o);
   for (Addr a = 0; a < 128; a += 8) em.stream_load(a);
-  const TraceSummary s = summarize(em.take());
+  const TraceSummary s = summarize(em.take_decoded());
   EXPECT_EQ(s.loads, 16u);
   EXPECT_EQ(s.prefetches, 2u);  // one per 64 B line entered
 }
@@ -93,55 +98,55 @@ TEST(Emitter, StreamLoadDropsPrefetchAtLineBoundary) {
 TEST(Emitter, StreamLoadEmitsNoPrefetchWhenDisabled) {
   Emitter em(kBase);
   for (Addr a = 0; a < 128; a += 8) em.stream_load(a);
-  EXPECT_EQ(summarize(em.take()).prefetches, 0u);
+  EXPECT_EQ(summarize(em.take_decoded()).prefetches, 0u);
 }
 
 TEST(Emitter, PrefetchTargetsAheadOfTheStream) {
   CodegenOptions o = CodegenOptions::only_prefetch();
   Emitter em(o);
   em.stream_load(0);  // first in line 0 -> prefetch 0 + distance
-  const cpu::Trace t = em.take();
+  const cpu::DecodedTrace t = em.take_decoded();
   ASSERT_EQ(t.size(), 2u);
-  EXPECT_EQ(t[0].kind, cpu::OpKind::kPrefetch);
-  EXPECT_EQ(t[0].addr, o.prefetch_distance_bytes);
+  EXPECT_EQ(t.ops[0].kind, cpu::OpKind::kPrefetch);
+  EXPECT_EQ(t.ops[0].addr, o.prefetch_distance_bytes);
 }
 
 // ---- Closed-form scalar memory-op counts. ----
 
 TEST(KernelCounts, Atax) {
-  const TraceSummary s = summarize(atax(12, 16, kBase));
+  const TraceSummary s = summarize(kernel_trace(atax_into, kBase, 12, 16));
   EXPECT_EQ(s.loads, 4u * 12 * 16);
   EXPECT_EQ(s.stores, 16u + 12 * 16);
   EXPECT_EQ(s.prefetches, 0u);
 }
 
 TEST(KernelCounts, Bicg) {
-  const TraceSummary s = summarize(bicg(10, 14, kBase));
+  const TraceSummary s = summarize(kernel_trace(bicg_into, kBase, 10, 14));
   EXPECT_EQ(s.loads, 10u * (1 + 3 * 14));
   EXPECT_EQ(s.stores, 14u + 10 * (14 + 1));
 }
 
 TEST(KernelCounts, Gemm) {
-  const TraceSummary s = summarize(gemm(5, 6, 7, kBase));
+  const TraceSummary s = summarize(kernel_trace(gemm_into, kBase, 5, 6, 7));
   EXPECT_EQ(s.loads, 5u * 6 * (1 + 2 * 7));
   EXPECT_EQ(s.stores, 5u * 6);
 }
 
 TEST(KernelCounts, Gesummv) {
-  const TraceSummary s = summarize(gesummv(9, kBase));
+  const TraceSummary s = summarize(kernel_trace(gesummv_into, kBase, 9));
   EXPECT_EQ(s.loads, 3u * 9 * 9);
   EXPECT_EQ(s.stores, 9u);
 }
 
 TEST(KernelCounts, Mvt) {
-  const TraceSummary s = summarize(mvt(11, kBase));
+  const TraceSummary s = summarize(kernel_trace(mvt_into, kBase, 11));
   EXPECT_EQ(s.loads, 2u * 11 + 4 * 11 * 11);
   EXPECT_EQ(s.stores, 2u * 11);
 }
 
 TEST(KernelCounts, Trisolv) {
   const std::uint64_t n = 13;
-  const TraceSummary s = summarize(trisolv(n, kBase));
+  const TraceSummary s = summarize(kernel_trace(trisolv_into, kBase, n));
   EXPECT_EQ(s.loads, 2 * n + n * (n - 1));
   EXPECT_EQ(s.stores, n);
 }
@@ -150,7 +155,7 @@ TEST(KernelCounts, Syrk) {
   const std::uint64_t n = 8;
   const std::uint64_t m = 5;
   const std::uint64_t pairs = n * (n + 1) / 2;
-  const TraceSummary s = summarize(syrk(n, m, kBase));
+  const TraceSummary s = summarize(kernel_trace(syrk_into, kBase, n, m));
   EXPECT_EQ(s.loads, pairs * (1 + 2 * m));
   EXPECT_EQ(s.stores, pairs);
 }
@@ -159,7 +164,7 @@ TEST(KernelCounts, Syr2k) {
   const std::uint64_t n = 6;
   const std::uint64_t m = 4;
   const std::uint64_t pairs = n * (n + 1) / 2;
-  const TraceSummary s = summarize(syr2k(n, m, kBase));
+  const TraceSummary s = summarize(kernel_trace(syr2k_into, kBase, n, m));
   EXPECT_EQ(s.loads, pairs * (1 + 4 * m));
   EXPECT_EQ(s.stores, pairs);
 }
@@ -167,19 +172,21 @@ TEST(KernelCounts, Syr2k) {
 TEST(KernelCounts, Trmm) {
   const std::uint64_t n = 7;
   const std::uint64_t m = 5;
-  const TraceSummary s = summarize(trmm(n, m, kBase));
+  const TraceSummary s = summarize(kernel_trace(trmm_into, kBase, n, m));
   EXPECT_EQ(s.loads, m * n * n);
   EXPECT_EQ(s.stores, n * m);
 }
 
 TEST(KernelCounts, TwoMm) {
-  const TraceSummary s = summarize(two_mm(4, 5, 6, 7, kBase));
+  const TraceSummary s =
+      summarize(kernel_trace(two_mm_into, kBase, 4, 5, 6, 7));
   EXPECT_EQ(s.loads, 4u * 5 * (1 + 2 * 6) + 4u * 7 * (1 + 2 * 5));
   EXPECT_EQ(s.stores, 4u * 5 + 4u * 7);
 }
 
 TEST(KernelCounts, ThreeMm) {
-  const TraceSummary s = summarize(three_mm(3, 4, 5, 6, 7, kBase));
+  const TraceSummary s =
+      summarize(kernel_trace(three_mm_into, kBase, 3, 4, 5, 6, 7));
   EXPECT_EQ(s.loads, 3u * 4 * (1 + 2 * 5)      // E = A B
                          + 4u * 6 * (1 + 2 * 7)  // F = C D
                          + 3u * 6 * (1 + 2 * 4));  // G = E F
@@ -189,7 +196,7 @@ TEST(KernelCounts, ThreeMm) {
 TEST(KernelCounts, Jacobi1d) {
   const std::uint64_t n = 20;
   const std::uint64_t t = 3;
-  const TraceSummary s = summarize(jacobi_1d(n, t, kBase));
+  const TraceSummary s = summarize(kernel_trace(jacobi_1d_into, kBase, n, t));
   EXPECT_EQ(s.loads, t * 2 * (n - 2) * 3);
   EXPECT_EQ(s.stores, t * 2 * (n - 2));
 }
@@ -197,14 +204,14 @@ TEST(KernelCounts, Jacobi1d) {
 TEST(KernelCounts, Jacobi2d) {
   const std::uint64_t n = 10;
   const std::uint64_t t = 2;
-  const TraceSummary s = summarize(jacobi_2d(n, t, kBase));
+  const TraceSummary s = summarize(kernel_trace(jacobi_2d_into, kBase, n, t));
   EXPECT_EQ(s.loads, t * 2 * (n - 2) * (n - 2) * 5);
   EXPECT_EQ(s.stores, t * 2 * (n - 2) * (n - 2));
 }
 
 TEST(KernelCounts, Gemver) {
   const std::uint64_t n = 6;
-  const TraceSummary s = summarize(gemver(n, kBase));
+  const TraceSummary s = summarize(kernel_trace(gemver_into, kBase, n));
   // Phase 1: 2 + 3n loads, n stores per row. Phase 2: 2n + 1 loads, 1 store
   // per i. Phase 3: 1 + 2n loads... counted from the generator:
   EXPECT_EQ(s.loads, n * (2 + 3 * n)        // phase 1 (u1, u2; A, v1, v2)
@@ -215,14 +222,14 @@ TEST(KernelCounts, Gemver) {
 
 TEST(KernelCounts, Cholesky) {
   const std::uint64_t n = 10;
-  const TraceSummary s = summarize(cholesky(n, kBase));
+  const TraceSummary s = summarize(kernel_trace(cholesky_into, kBase, n));
   EXPECT_EQ(s.loads, n * (n + 1) * (2 * n + 1) / 6);
   EXPECT_EQ(s.stores, n * (n + 1) / 2);
 }
 
 TEST(KernelCounts, Lu) {
   const std::uint64_t n = 9;
-  const TraceSummary s = summarize(lu(n, kBase));
+  const TraceSummary s = summarize(kernel_trace(lu_into, kBase, n));
   std::uint64_t loads = 0;
   for (std::uint64_t i = 0; i < n; ++i) {
     loads += i * i + i;             // j < i: (2 + 2j) each
@@ -235,7 +242,7 @@ TEST(KernelCounts, Lu) {
 TEST(KernelCounts, Symm) {
   const std::uint64_t m = 7;
   const std::uint64_t n = 5;
-  const TraceSummary s = summarize(symm(m, n, kBase));
+  const TraceSummary s = summarize(kernel_trace(symm_into, kBase, m, n));
   EXPECT_EQ(s.loads, n * m * (m + 2));
   EXPECT_EQ(s.stores, n * m * (m + 1) / 2);
 }
@@ -244,7 +251,8 @@ TEST(KernelCounts, Doitgen) {
   const std::uint64_t nr = 3;
   const std::uint64_t nq = 4;
   const std::uint64_t np = 6;
-  const TraceSummary s = summarize(doitgen(nr, nq, np, kBase));
+  const TraceSummary s =
+      summarize(kernel_trace(doitgen_into, kBase, nr, nq, np));
   EXPECT_EQ(s.loads, nr * nq * (2 * np * np + np));
   EXPECT_EQ(s.stores, nr * nq * 2 * np);
 }
@@ -252,7 +260,7 @@ TEST(KernelCounts, Doitgen) {
 TEST(KernelCounts, Seidel2d) {
   const std::uint64_t n = 8;
   const std::uint64_t t = 2;
-  const TraceSummary s = summarize(seidel_2d(n, t, kBase));
+  const TraceSummary s = summarize(kernel_trace(seidel_2d_into, kBase, n, t));
   EXPECT_EQ(s.loads, t * (n - 2) * (n - 2) * 9);
   EXPECT_EQ(s.stores, t * (n - 2) * (n - 2));
 }
@@ -261,21 +269,21 @@ TEST(KernelCounts, Covariance) {
   const std::uint64_t m = 6;
   const std::uint64_t n = 5;
   const std::uint64_t pairs = m * (m + 1) / 2;
-  const TraceSummary s = summarize(covariance(m, n, kBase));
+  const TraceSummary s = summarize(kernel_trace(covariance_into, kBase, m, n));
   EXPECT_EQ(s.loads, m * n + 2 * m * n + pairs * 2 * n);
   EXPECT_EQ(s.stores, m + m * n + 2 * pairs);
 }
 
 TEST(KernelCounts, FloydWarshall) {
   const std::uint64_t n = 7;
-  const TraceSummary s = summarize(floyd_warshall(n, kBase));
+  const TraceSummary s = summarize(kernel_trace(floyd_warshall_into, kBase, n));
   EXPECT_EQ(s.loads, n * n * (1 + 2 * n));
   EXPECT_EQ(s.stores, n * n * n);
 }
 
 TEST(KernelCounts, Durbin) {
   const std::uint64_t n = 9;
-  const TraceSummary s = summarize(durbin(n, kBase));
+  const TraceSummary s = summarize(kernel_trace(durbin_into, kBase, n));
   // k = 1..n-1: dot (2k loads) + r[k] + z pass (2k loads, k stores) +
   // copy-back (k loads, k stores) + y[k] store; plus the k=0 prologue.
   std::uint64_t loads = 1;
@@ -291,7 +299,7 @@ TEST(KernelCounts, Durbin) {
 TEST(KernelCounts, Gramschmidt) {
   const std::uint64_t m = 6;
   const std::uint64_t n = 5;
-  const TraceSummary s = summarize(gramschmidt(m, n, kBase));
+  const TraceSummary s = summarize(kernel_trace(gramschmidt_into, kBase, m, n));
   std::uint64_t loads = 0;
   std::uint64_t stores = 0;
   for (std::uint64_t k = 0; k < n; ++k) {
@@ -310,7 +318,7 @@ TEST(KernelCounts, Gramschmidt) {
 TEST(KernelCounts, Adi) {
   const std::uint64_t n = 8;
   const std::uint64_t t = 2;
-  const TraceSummary s = summarize(adi(n, t, kBase));
+  const TraceSummary s = summarize(kernel_trace(adi_into, kBase, n, t));
   const std::uint64_t interior = (n - 2) * (n - 2);
   EXPECT_EQ(s.loads, t * interior * (5 + 3));
   EXPECT_EQ(s.stores, t * interior * (2 + 1));
@@ -320,7 +328,8 @@ TEST(KernelCounts, Fdtd2d) {
   const std::uint64_t nx = 6;
   const std::uint64_t ny = 7;
   const std::uint64_t t = 2;
-  const TraceSummary s = summarize(fdtd_2d(nx, ny, t, kBase));
+  const TraceSummary s =
+      summarize(kernel_trace(fdtd_2d_into, kBase, nx, ny, t));
   const std::uint64_t ey_ops = (nx - 1) * ny;
   const std::uint64_t ex_ops = nx * (ny - 1);
   const std::uint64_t hz_ops = (nx - 1) * (ny - 1);
@@ -331,7 +340,7 @@ TEST(KernelCounts, Fdtd2d) {
 TEST(KernelCounts, Heat3d) {
   const std::uint64_t n = 6;
   const std::uint64_t t = 2;
-  const TraceSummary s = summarize(heat_3d(n, t, kBase));
+  const TraceSummary s = summarize(kernel_trace(heat_3d_into, kBase, n, t));
   const std::uint64_t interior = (n - 2) * (n - 2) * (n - 2);
   EXPECT_EQ(s.loads, t * 2 * interior * 7);
   EXPECT_EQ(s.stores, t * 2 * interior);
@@ -340,9 +349,9 @@ TEST(KernelCounts, Heat3d) {
 TEST(KernelCounts, SeidelHasNoVectorShape) {
   // Gauss-Seidel is loop-carried: the vectorize flag must not change the
   // memory-op structure (prefetch/branch options still apply).
-  const TraceSummary a = summarize(seidel_2d(12, 2, kBase));
+  const TraceSummary a = summarize(kernel_trace(seidel_2d_into, kBase, 12, 2));
   const TraceSummary b =
-      summarize(seidel_2d(12, 2, CodegenOptions::only_vectorize()));
+      summarize(kernel_trace(seidel_2d_into, kVec, 12, 2));
   EXPECT_EQ(a.loads, b.loads);
   EXPECT_EQ(a.stores, b.stores);
 }
@@ -353,8 +362,8 @@ class VectorShape : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(VectorShape, PreservesBytesMovedForDivisibleSizes) {
   const Kernel& k = find_kernel(GetParam());
-  const TraceSummary scalar = summarize(k.generate(kBase));
-  const TraceSummary vec = summarize(k.generate(CodegenOptions::only_vectorize()));
+  const TraceSummary scalar = summarize(k.generate_decoded(kBase));
+  const TraceSummary vec = summarize(k.generate_decoded(kVec));
   // Vectorization changes op counts and loop order but streams the same
   // array elements (gemm-family kernels re-load C per k in the ikj shape,
   // so bytes may grow there — tested separately).
@@ -371,9 +380,9 @@ INSTANTIATE_TEST_SUITE_P(Kernels, VectorShape,
                                            "floyd-warshall"));
 
 TEST(VectorShapeDetail, GesummvBytesExactlyPreserved) {
-  const TraceSummary scalar = summarize(gesummv(16, kBase));
+  const TraceSummary scalar = summarize(kernel_trace(gesummv_into, kBase, 16));
   const TraceSummary vec =
-      summarize(gesummv(16, CodegenOptions::only_vectorize()));
+      summarize(kernel_trace(gesummv_into, kVec, 16));
   EXPECT_EQ(vec.bytes_loaded, scalar.bytes_loaded);
   EXPECT_EQ(vec.bytes_stored, scalar.bytes_stored);
   EXPECT_EQ(vec.loads, scalar.loads / 4);
@@ -381,9 +390,9 @@ TEST(VectorShapeDetail, GesummvBytesExactlyPreserved) {
 
 TEST(VectorShapeDetail, EpilogueHandlesNonDivisibleSizes) {
   // n = 7: one 4-wide chunk + 3 scalar lanes; bytes must still match.
-  const TraceSummary scalar = summarize(gesummv(7, kBase));
+  const TraceSummary scalar = summarize(kernel_trace(gesummv_into, kBase, 7));
   const TraceSummary vec =
-      summarize(gesummv(7, CodegenOptions::only_vectorize()));
+      summarize(kernel_trace(gesummv_into, kVec, 7));
   EXPECT_EQ(vec.bytes_loaded, scalar.bytes_loaded);
   EXPECT_EQ(vec.bytes_stored, scalar.bytes_stored);
 }
@@ -391,8 +400,8 @@ TEST(VectorShapeDetail, EpilogueHandlesNonDivisibleSizes) {
 TEST(VectorShapeDetail, GemmIkjShapeIsUnitStrideOnly) {
   // The vector gemm never walks a column: all loads are 8- or 32-byte and
   // consecutive same-array accesses differ by at most +32.
-  const cpu::Trace t = gemm(8, 8, 8, CodegenOptions::only_vectorize());
-  for (const cpu::TraceOp& op : t) {
+  const cpu::DecodedTrace t = kernel_trace(gemm_into, kVec, 8, 8, 8);
+  for (const cpu::DecodedOp& op : t.ops) {
     if (op.kind == cpu::OpKind::kLoad) {
       EXPECT_TRUE(op.size == 8 || op.size == 32);
     }
@@ -401,14 +410,14 @@ TEST(VectorShapeDetail, GemmIkjShapeIsUnitStrideOnly) {
 
 TEST(Prefetching, EmitsPrefetchesOnStreamingKernels) {
   const TraceSummary s =
-      summarize(atax(16, 16, CodegenOptions::only_prefetch()));
+      summarize(kernel_trace(atax_into, kPf, 16, 16));
   EXPECT_GT(s.prefetches, 0u);
 }
 
 TEST(Prefetching, ScalarColumnWalksAreNotPrefetched) {
   // mvt phase 2 walks columns in the scalar shape; only the unit-stride
   // phase-1 streams get hints. Prefetches must be well below the load count.
-  const TraceSummary s = summarize(mvt(32, CodegenOptions::only_prefetch()));
+  const TraceSummary s = summarize(kernel_trace(mvt_into, kPf, 32));
   EXPECT_GT(s.prefetches, 0u);
   EXPECT_LT(s.prefetches, s.loads / 4);
 }
@@ -430,11 +439,131 @@ TEST(Suite, FindKernelWorksAndThrows) {
 
 TEST(Suite, EveryKernelGeneratesDeterministically) {
   for (const Kernel& k : polybench_suite()) {
-    const cpu::Trace a = k.generate(kBase);
-    const cpu::Trace b = k.generate(kBase);
+    const cpu::DecodedTrace a = k.generate_decoded(kBase);
+    const cpu::DecodedTrace b = k.generate_decoded(kBase);
     EXPECT_EQ(a.size(), b.size()) << k.name;
     EXPECT_TRUE(a == b) << k.name;
     EXPECT_GT(summarize(a).loads, 0u) << k.name;
+  }
+}
+
+/// Content digest of a trace: every op field (spans included) and every
+/// store's payload as the oracle reads it, so an empty sidecar and an
+/// all-zero one digest alike.
+std::uint64_t content_digest(const cpu::DecodedTrace& t) {
+  util::Hash64 h;
+  h.u64(t.ops.size());
+  std::size_t store = 0;
+  for (const cpu::DecodedOp& op : t.ops) {
+    h.u64(op.addr)
+        .u32(op.count)
+        .u8(static_cast<std::uint8_t>(op.kind))
+        .u8(op.size)
+        .u8(op.span32)
+        .u8(op.span64);
+    if (op.kind == cpu::OpKind::kStore) h.u64(t.store_value(store++));
+  }
+  return h.digest();
+}
+
+TEST(Suite, TraceContentIsPinned) {
+  // Tripwire: every suite kernel's trace under each codegen variant the
+  // figures use (none, all, vec, pf, br), digested once and pinned here. A
+  // change to a generator, the Emitter or the trace form that moves a
+  // single op or span fails this test before it moves a figure.
+  struct Pinned {
+    const char* kernel;
+    std::uint64_t digest[5];
+  };
+  static constexpr Pinned kPinned[] = {
+      {"atax",
+       {0x996a35f831c192f2ULL, 0x26031c82553d275cULL, 0xee12fa7a062cb1d2ULL,
+        0xd698a4ae1ca4fdfaULL, 0x743c69f86eee9034ULL}},
+      {"bicg",
+       {0x2271c1c43b8fdcb0ULL, 0x5be2071eaa0a5058ULL, 0x286b70d87f601d05ULL,
+        0x41e9936b75c0a390ULL, 0x11b183af2b834f76ULL}},
+      {"gemm",
+       {0xe0bd2acec67b5c59ULL, 0x99ca5858f64affc5ULL, 0xb167bf92808d9458ULL,
+        0xa5f90d1868d8ddd9ULL, 0x603c056eb4287459ULL}},
+      {"gemver",
+       {0xca8706ea4735d095ULL, 0x8c755ff0ee6e4aefULL, 0x172499f2590c1212ULL,
+        0xe4714fd6e3e8a42cULL, 0xd9c6078263f57a15ULL}},
+      {"gesummv",
+       {0x683af44bb279ca01ULL, 0x7002051576effaa9ULL, 0x696a00221bd69b3eULL,
+        0x57454c802f03af6fULL, 0xa8dccc1a487a8301ULL}},
+      {"mvt",
+       {0xdb89334c4590e47bULL, 0x9aad08914b88f7f1ULL, 0x2d549e32bc6a3431ULL,
+        0x863ddb7547214953ULL, 0x1b32002a4584167bULL}},
+      {"syrk",
+       {0x5c4fc76d08003997ULL, 0x18e367381778fddcULL, 0xb4970e0c8be3e216ULL,
+        0x8aaf579e6b7924e7ULL, 0x02e420cce1e59d77ULL}},
+      {"syr2k",
+       {0x7980fd1601c5aae7ULL, 0xf54e2767f62b1ecbULL, 0xe9f6a7df423ef0a5ULL,
+        0x84a3e2c4853a55f1ULL, 0xfe99c8125f3c91e7ULL}},
+      {"trisolv",
+       {0x918c7232088f7456ULL, 0x815ae5f4a7a04badULL, 0xa74b36a39caf6eb4ULL,
+        0xf8411757c60c9a52ULL, 0x687a27f78ef4f076ULL}},
+      {"trmm",
+       {0xec82c96a9530775bULL, 0xb3ca7ba035858b0bULL, 0x270581dd489b5c5cULL,
+        0xec82c96a9530775bULL, 0x2f4fe35cca0816dbULL}},
+      {"2mm",
+       {0x30187ffeb6c9bcc7ULL, 0xc324c448f91f058eULL, 0x46d7600488c8a2b8ULL,
+        0xd590417de5fe5ca3ULL, 0x2d6eeb812a5aaac7ULL}},
+      {"3mm",
+       {0xf74873f447dbe49fULL, 0xb54603dcc33ed288ULL, 0x98acb91ebcf15d65ULL,
+        0x6e24acb9fc4d97beULL, 0x1fc33371fdfd5ddfULL}},
+      {"jacobi-1d",
+       {0x6ab74b604c56f9beULL, 0xc7aebaa453daee1dULL, 0x9cf17185b4aee05aULL,
+        0xe0e026532f70d8a1ULL, 0xed71f1a5832b003eULL}},
+      {"jacobi-2d",
+       {0x2aa147e5d739731aULL, 0x1ac16bb8527488d1ULL, 0x45f0ec0294fb80f4ULL,
+        0xc0430ead9ae402c0ULL, 0x9fbb518a0515b972ULL}},
+      {"cholesky",
+       {0xbc8150d94e46c1c0ULL, 0xca42ec416ef919b2ULL, 0x59c7bd4ee1c2de52ULL,
+        0xec0b748b49282241ULL, 0x3c6c17983d1da49cULL}},
+      {"lu",
+       {0x9d988157a51eef0eULL, 0x3b66b16a29aabb55ULL, 0x0be0622d88b089b3ULL,
+        0x9d988157a51eef0eULL, 0x437895d9e3f45b6aULL}},
+      {"symm",
+       {0x64c0e9188a644961ULL, 0xcf16a20014eedd53ULL, 0x254ae5885cab3aebULL,
+        0x64c0e9188a644961ULL, 0x600420f90e5448c1ULL}},
+      {"doitgen",
+       {0xf94465e16e4eeb3fULL, 0x0d69a3f62442d628ULL, 0x32f35ced00aca39aULL,
+        0xc8e511ff4f85baf9ULL, 0x2b48dc52dc8b5dbfULL}},
+      {"seidel-2d",
+       {0x7416ff8b744b2ad7ULL, 0xedba7620ff15df79ULL, 0x7416ff8b744b2ad7ULL,
+        0xfb7a50bd640bd569ULL, 0x01b4511f4fdc6cf7ULL}},
+      {"covariance",
+       {0xb7abf4a7a59c6513ULL, 0xd9156a87749b9485ULL, 0x66f15deed8d2da01ULL,
+        0x52d81111e3d07b15ULL, 0xe72eab0d219d0353ULL}},
+      {"floyd-warshall",
+       {0x885ff08e0661ae0eULL, 0xedca3712d5e6fd30ULL, 0x0c2f7ee2a789d734ULL,
+        0x1731ecc3c0c4833eULL, 0xf685e423d338924eULL}},
+      {"durbin",
+       {0x7395a5b15b34f81dULL, 0xd844f4387764517dULL, 0x79e7953de0a8dbbbULL,
+        0xd3df960f5e429905ULL, 0x331879a00ed5f21dULL}},
+      {"gramschmidt",
+       {0x3c9692bc5cff8ab1ULL, 0xe3043de003160056ULL, 0xef9c9b161e12fb6fULL,
+        0x3c9692bc5cff8ab1ULL, 0x4bcd219856a15e45ULL}},
+      {"adi",
+       {0x969565e17273b8dbULL, 0x8014f973696b0837ULL, 0xa0e08d961dd904e1ULL,
+        0xa71cdaa3fc6eea40ULL, 0xd247829fb944e4fbULL}},
+      {"fdtd-2d",
+       {0x41a192b6930b68ceULL, 0x6c96be4161aba040ULL, 0x986a793246630a93ULL,
+        0xe65f486b76e20b79ULL, 0xd1ec6e5042df838eULL}},
+      {"heat-3d",
+       {0xced6817b3dc601fcULL, 0xdd8c5f86f898133aULL, 0xf2b31adf324888d3ULL,
+        0x0997fbb93c95a6aaULL, 0xdfbeae8325faf57cULL}},
+  };
+  const CodegenOptions variants[] = {kBase, CodegenOptions::all(), kVec, kPf,
+                                     CodegenOptions::only_branch_opts()};
+  ASSERT_EQ(std::size(kPinned), polybench_suite().size());
+  for (const Pinned& p : kPinned) {
+    const Kernel& k = find_kernel(p.kernel);
+    for (std::size_t v = 0; v < std::size(variants); ++v) {
+      EXPECT_EQ(content_digest(k.generate_decoded(variants[v])), p.digest[v])
+          << k.name << " " << variants[v].label();
+    }
   }
 }
 

@@ -12,7 +12,7 @@
 //   sttsim --list
 //
 // --org accepts a comma-separated list: every named organization replays
-// the same decoded trace and the stats are reported side by side.
+// the same trace and the stats are reported side by side.
 //
 // Options: --vwb-kbit=N --vwb-lines=N --banks=N --clock-ghz=F --csv
 //          --store=PATH (persistent result store: repeated identical runs
@@ -300,13 +300,13 @@ int run(const CliOptions& o) {
     return 2;
   }
 
-  cpu::Trace trace;
+  cpu::DecodedTrace trace;
   if (!o.kernel.empty()) {
-    // Through the trace cache: a miss synthesizes the decoded trace
-    // directly (and persists it when --trace-store is active); a warm
-    // store serves the compressed blob with zero generation.
+    // Through the trace cache: a miss synthesizes the trace (and persists
+    // it when --trace-store is active); a warm store serves the compressed
+    // blob with zero generation.
     experiments::TraceCache cache;
-    trace = *cache.get(workloads::find_kernel(o.kernel), o.codegen);
+    trace = *cache.get_decoded(workloads::find_kernel(o.kernel), o.codegen);
   } else {
     trace = cpu::read_trace_file(o.trace_in);
   }
@@ -323,15 +323,14 @@ int run(const CliOptions& o) {
                    "--check-oracle/--baseline-penalty/--json\n");
       return 2;
     }
-    // Side-by-side comparison: one decode, then each organization replays
-    // the shared decoded trace on its own System. Every run finishes before
-    // anything prints, so a bad configuration prints nothing.
-    const cpu::DecodedTrace decoded = cpu::decode(trace);
+    // Side-by-side comparison: each organization replays the shared trace
+    // on its own System. Every run finishes before anything prints, so a
+    // bad configuration prints nothing.
     std::vector<sim::RunStats> all;
     for (const cpu::Dl1Organization org : o.orgs) {
       cpu::SystemConfig cfg = o.system;
       cfg.organization = org;
-      all.push_back(cpu::System(cfg).run(decoded));
+      all.push_back(cpu::System(cfg).run(trace));
     }
     for (std::size_t i = 0; i < o.orgs.size(); ++i) {
       if (!o.csv) {
