@@ -62,8 +62,8 @@ struct Options {
 };
 
 /// Opens (creating if needed) the persistent result store at `path` and
-/// registers it process-wide; every subsequent run_kernel/run_grid call
-/// probes it. The store object lives until process exit.
+/// registers it process-wide; every subsequent run_grid call probes it.
+/// The store object lives until process exit.
 inline void open_result_store(const std::string& path) {
   static std::unique_ptr<exec::ResultStore> holder;
   holder = std::make_unique<exec::ResultStore>(path, sim::kRunStatsBytes);
@@ -71,8 +71,9 @@ inline void open_result_store(const std::string& path) {
 }
 
 /// Same for the persistent compressed-trace store: registered process-wide,
-/// probed by every TraceCache miss. The blob content version is the trace
-/// format version, so a format bump re-initializes old files.
+/// probed by every trace load (experiments::load_or_synthesize). The blob
+/// content version is the trace format version, so a format bump
+/// re-initializes old files.
 inline void open_trace_store(const std::string& path) {
   static std::unique_ptr<exec::TraceStore> holder;
   holder = std::make_unique<exec::TraceStore>(path, cpu::kTraceFormatVersion);

@@ -78,12 +78,10 @@ std::string table1_technology() {
 
 report::FigureData fig1_dropin_penalty(const KernelFilter& filter) {
   const std::vector<Kernel> kernels = select_kernels(filter);
-  TraceCache cache;
   const CodegenOptions base = CodegenOptions::none();
   const auto grid = run_grid(
-      cache, kernels,
-      {{make_config(Dl1Organization::kSramBaseline), base},
-       {make_config(Dl1Organization::kNvmDropIn), base}});
+      kernels, {{make_config(Dl1Organization::kSramBaseline), base},
+                {make_config(Dl1Organization::kNvmDropIn), base}});
   const auto& sram = grid[0];
   const auto& nvm = grid[1];
   report::FigureData fig;
@@ -99,13 +97,11 @@ report::FigureData fig1_dropin_penalty(const KernelFilter& filter) {
 
 report::FigureData fig3_vwb_penalty(const KernelFilter& filter) {
   const std::vector<Kernel> kernels = select_kernels(filter);
-  TraceCache cache;
   const CodegenOptions base = CodegenOptions::none();
   const auto grid = run_grid(
-      cache, kernels,
-      {{make_config(Dl1Organization::kSramBaseline), base},
-       {make_config(Dl1Organization::kNvmDropIn), base},
-       {make_config(Dl1Organization::kNvmVwb), base}});
+      kernels, {{make_config(Dl1Organization::kSramBaseline), base},
+                {make_config(Dl1Organization::kNvmDropIn), base},
+                {make_config(Dl1Organization::kNvmVwb), base}});
   const auto& sram = grid[0];
   const auto& dropin = grid[1];
   const auto& vwb = grid[2];
@@ -123,12 +119,10 @@ report::FigureData fig3_vwb_penalty(const KernelFilter& filter) {
 
 report::FigureData fig4_rw_breakdown(const KernelFilter& filter) {
   const std::vector<Kernel> kernels = select_kernels(filter);
-  TraceCache cache;
   const CodegenOptions base = CodegenOptions::none();
   const auto grid = run_grid(
-      cache, kernels,
-      {{make_config(Dl1Organization::kSramBaseline), base},
-       {make_config(Dl1Organization::kNvmVwb), base}});
+      kernels, {{make_config(Dl1Organization::kSramBaseline), base},
+                {make_config(Dl1Organization::kNvmVwb), base}});
   const auto& sram = grid[0];
   const auto& vwb = grid[1];
   report::FigureData fig;
@@ -165,16 +159,14 @@ report::FigureData fig4_rw_breakdown(const KernelFilter& filter) {
 
 report::FigureData fig5_transformations(const KernelFilter& filter) {
   const std::vector<Kernel> kernels = select_kernels(filter);
-  TraceCache cache;
   const CodegenOptions base = CodegenOptions::none();
   const CodegenOptions full = CodegenOptions::all();
   const auto grid = run_grid(
-      cache, kernels,
-      {{make_config(Dl1Organization::kSramBaseline), base},
-       {make_config(Dl1Organization::kSramBaseline), full},
-       {make_config(Dl1Organization::kNvmDropIn), base},
-       {make_config(Dl1Organization::kNvmVwb), base},
-       {make_config(Dl1Organization::kNvmVwb), full}});
+      kernels, {{make_config(Dl1Organization::kSramBaseline), base},
+                {make_config(Dl1Organization::kSramBaseline), full},
+                {make_config(Dl1Organization::kNvmDropIn), base},
+                {make_config(Dl1Organization::kNvmVwb), base},
+                {make_config(Dl1Organization::kNvmVwb), full}});
   const auto& sram_base = grid[0];
   const auto& sram_opt = grid[1];
   const auto& dropin = grid[2];
@@ -196,14 +188,12 @@ report::FigureData fig5_transformations(const KernelFilter& filter) {
 
 report::FigureData fig6_contributions(const KernelFilter& filter) {
   const std::vector<Kernel> kernels = select_kernels(filter);
-  TraceCache cache;
   const cpu::SystemConfig vwb_cfg = make_config(Dl1Organization::kNvmVwb);
   const auto grid = run_grid(
-      cache, kernels,
-      {{vwb_cfg, CodegenOptions::none()},
-       {vwb_cfg, CodegenOptions::only_vectorize()},
-       {vwb_cfg, CodegenOptions::only_prefetch()},
-       {vwb_cfg, CodegenOptions::only_branch_opts()}});
+      kernels, {{vwb_cfg, CodegenOptions::none()},
+                {vwb_cfg, CodegenOptions::only_vectorize()},
+                {vwb_cfg, CodegenOptions::only_prefetch()},
+                {vwb_cfg, CodegenOptions::only_branch_opts()}});
   const auto& none = grid[0];
   const auto& vec = grid[1];
   const auto& pf = grid[2];
@@ -250,7 +240,6 @@ report::FigureData vwb_size_sweep(const KernelFilter& filter,
                                   const CodegenOptions& opts,
                                   const std::string& title) {
   const std::vector<Kernel> kernels = select_kernels(filter);
-  TraceCache cache;
   const std::vector<unsigned> kbits{1u, 2u, 4u};
   std::vector<SuiteJob> jobs{
       {make_config(Dl1Organization::kSramBaseline), opts}};
@@ -259,7 +248,7 @@ report::FigureData vwb_size_sweep(const KernelFilter& filter,
     cfg.vwb_total_kbit = kbit;
     jobs.push_back({cfg, opts});
   }
-  const auto grid = run_grid(cache, kernels, jobs);
+  const auto grid = run_grid(kernels, jobs);
   report::FigureData fig;
   fig.title = title;
   fig.row_header = "kernel";
@@ -290,14 +279,12 @@ report::FigureData fig7_vwb_size_optimized(const KernelFilter& filter) {
 
 report::FigureData fig8_alternatives(const KernelFilter& filter) {
   const std::vector<Kernel> kernels = select_kernels(filter);
-  TraceCache cache;
   const CodegenOptions full = CodegenOptions::all();
   const auto grid = run_grid(
-      cache, kernels,
-      {{make_config(Dl1Organization::kSramBaseline), full},
-       {make_config(Dl1Organization::kNvmVwb), full},
-       {make_config(Dl1Organization::kNvmEmshr), full},
-       {make_config(Dl1Organization::kNvmL0), full}});
+      kernels, {{make_config(Dl1Organization::kSramBaseline), full},
+                {make_config(Dl1Organization::kNvmVwb), full},
+                {make_config(Dl1Organization::kNvmEmshr), full},
+                {make_config(Dl1Organization::kNvmL0), full}});
   const auto& sram = grid[0];
   report::FigureData fig;
   fig.title =
@@ -315,17 +302,15 @@ report::FigureData fig8_alternatives(const KernelFilter& filter) {
 
 report::FigureData fig9_baseline_gain(const KernelFilter& filter) {
   const std::vector<Kernel> kernels = select_kernels(filter);
-  TraceCache cache;
   const CodegenOptions base = CodegenOptions::none();
   const CodegenOptions full = CodegenOptions::all();
   const cpu::SystemConfig sram_cfg =
       make_config(Dl1Organization::kSramBaseline);
   const cpu::SystemConfig vwb_cfg = make_config(Dl1Organization::kNvmVwb);
-  const auto grid = run_grid(cache, kernels,
-                             {{sram_cfg, base},
-                              {sram_cfg, full},
-                              {vwb_cfg, base},
-                              {vwb_cfg, full}});
+  const auto grid = run_grid(kernels, {{sram_cfg, base},
+                                       {sram_cfg, full},
+                                       {vwb_cfg, base},
+                                       {vwb_cfg, full}});
   const auto& sram_base = grid[0];
   const auto& sram_opt = grid[1];
   const auto& vwb_base = grid[2];
@@ -350,7 +335,6 @@ report::FigureData fig9_baseline_gain(const KernelFilter& filter) {
 
 report::FigureData ablation_banking(const KernelFilter& filter) {
   const std::vector<Kernel> kernels = select_kernels(filter);
-  TraceCache cache;
   const CodegenOptions full = CodegenOptions::all();
   const std::vector<unsigned> bank_counts{1u, 2u, 4u, 8u};
   std::vector<SuiteJob> jobs{
@@ -360,7 +344,7 @@ report::FigureData ablation_banking(const KernelFilter& filter) {
     cfg.nvm_banks = banks;
     jobs.push_back({cfg, full});
   }
-  const auto grid = run_grid(cache, kernels, jobs);
+  const auto grid = run_grid(kernels, jobs);
   report::FigureData fig;
   fig.title =
       "Ablation A1 - NVM array banking vs optimized-VWB penalty (SRAM "
@@ -379,7 +363,6 @@ report::FigureData ablation_banking(const KernelFilter& filter) {
 
 report::FigureData ablation_store_buffer(const KernelFilter& filter) {
   const std::vector<Kernel> kernels = select_kernels(filter);
-  TraceCache cache;
   const CodegenOptions base = CodegenOptions::none();
   const std::vector<unsigned> depths{1u, 2u, 4u, 8u};
   std::vector<SuiteJob> jobs{
@@ -389,7 +372,7 @@ report::FigureData ablation_store_buffer(const KernelFilter& filter) {
     cfg.store_buffer_depth = depth;
     jobs.push_back({cfg, base});
   }
-  const auto grid = run_grid(cache, kernels, jobs);
+  const auto grid = run_grid(kernels, jobs);
   report::FigureData fig;
   fig.title =
       "Ablation A2 - Store-buffer depth vs drop-in NVM penalty (SRAM "
@@ -406,14 +389,12 @@ report::FigureData ablation_store_buffer(const KernelFilter& filter) {
 
 report::FigureData ablation_write_mitigation(const KernelFilter& filter) {
   const std::vector<Kernel> kernels = select_kernels(filter);
-  TraceCache cache;
   const CodegenOptions base = CodegenOptions::none();
   const auto grid = run_grid(
-      cache, kernels,
-      {{make_config(Dl1Organization::kSramBaseline), base},
-       {make_config(Dl1Organization::kNvmDropIn), base},
-       {make_config(Dl1Organization::kNvmVwb), base},
-       {make_config(Dl1Organization::kNvmWriteBuf), base}});
+      kernels, {{make_config(Dl1Organization::kSramBaseline), base},
+                {make_config(Dl1Organization::kNvmDropIn), base},
+                {make_config(Dl1Organization::kNvmVwb), base},
+                {make_config(Dl1Organization::kNvmWriteBuf), base}});
   const auto& sram = grid[0];
   report::FigureData fig;
   fig.title =
@@ -430,7 +411,6 @@ report::FigureData ablation_write_mitigation(const KernelFilter& filter) {
 
 std::string lifetime_report(const KernelFilter& filter) {
   const std::vector<Kernel> kernels = select_kernels(filter);
-  TraceCache cache;
   const CodegenOptions base = CodegenOptions::none();
   const auto stt = reliability::stt_mram_endurance();
   const auto reram = reliability::reram_endurance();
@@ -440,8 +420,7 @@ std::string lifetime_report(const KernelFilter& filter) {
   // Wear profiling needs the System's DL1 array after the run, so this
   // report fans whole per-kernel jobs (run + profile + row formatting)
   // across the pool rather than going through run_grid. Each trace serves
-  // exactly one job, so the job drops it from the cache and its memory
-  // goes when the job's handle does. Like run_grid, a job that has not
+  // exactly one job, which owns it. Like run_grid, a job that has not
   // started when SIGINT arrives is skipped, and the report then throws.
   exec::ParallelExecutor pool;
   const std::vector<std::vector<std::string>> rows =
@@ -451,11 +430,10 @@ std::string lifetime_report(const KernelFilter& filter) {
           return std::vector<std::string>{};
         }
         const Kernel& k = kernels[i];
-        const auto trace = cache.get_decoded(k, base);
-        cache.drop(k, base);
+        const cpu::DecodedTrace trace = load_or_synthesize(k, base);
         cpu::System system(cfg, cpu::System::kPrevalidated);
-        const sim::RunStats stats = system.run(*trace);
-        exec::Telemetry::instance().count_simulation(trace->size());
+        const sim::RunStats stats = system.run(trace);
+        exec::Telemetry::instance().count_simulation(trace.size());
         const auto wear = reliability::profile_wear(
             system.dl1().array(), stats.core.total_cycles, 1.0);
         return std::vector<std::string>{
@@ -486,12 +464,10 @@ std::string lifetime_report(const KernelFilter& filter) {
 
 report::FigureData energy_report(const KernelFilter& filter) {
   const std::vector<Kernel> kernels = select_kernels(filter);
-  TraceCache cache;
   const CodegenOptions base = CodegenOptions::none();
   const auto grid = run_grid(
-      cache, kernels,
-      {{make_config(Dl1Organization::kSramBaseline), base},
-       {make_config(Dl1Organization::kNvmVwb), base}});
+      kernels, {{make_config(Dl1Organization::kSramBaseline), base},
+                {make_config(Dl1Organization::kNvmVwb), base}});
   const auto& sram = grid[0];
   const auto& vwb = grid[1];
   report::FigureData fig;
@@ -519,7 +495,6 @@ report::FigureData energy_report(const KernelFilter& filter) {
 
 report::FigureData exploration_iso_area(const KernelFilter& filter) {
   const std::vector<Kernel> kernels = select_kernels(filter);
-  TraceCache cache;
   const CodegenOptions base = CodegenOptions::none();
   // Realistic scaling: the doubled array pays sqrt(2) more latency
   // (3.37 ns -> 4.77 ns quantizes to a 5th read cycle).
@@ -530,11 +505,10 @@ report::FigureData exploration_iso_area(const KernelFilter& filter) {
   cpu::SystemConfig big_fast = make_config(Dl1Organization::kNvmVwb);
   big_fast.stt.capacity_bytes = 128 * kKiB;
   const auto grid = run_grid(
-      cache, kernels,
-      {{make_config(Dl1Organization::kSramBaseline), base},
-       {make_config(Dl1Organization::kNvmVwb), base},
-       {big, base},
-       {big_fast, base}});
+      kernels, {{make_config(Dl1Organization::kSramBaseline), base},
+                {make_config(Dl1Organization::kNvmVwb), base},
+                {big, base},
+                {big_fast, base}});
   const auto& sram = grid[0];
   report::FigureData fig;
   fig.title =
@@ -553,7 +527,6 @@ report::FigureData exploration_iso_area(const KernelFilter& filter) {
 
 report::FigureData sensitivity_clock(const KernelFilter& filter) {
   const std::vector<Kernel> kernels = select_kernels(filter);
-  TraceCache cache;
   const CodegenOptions base = CodegenOptions::none();
   const std::vector<double> clocks{1.0, 1.5, 2.0, 3.0};
   // One batch for the whole sweep: (SRAM, NVM) pairs per clock.
@@ -566,7 +539,7 @@ report::FigureData sensitivity_clock(const KernelFilter& filter) {
     jobs.push_back({s_cfg, base});
     jobs.push_back({n_cfg, base});
   }
-  const auto grid = run_grid(cache, kernels, jobs);
+  const auto grid = run_grid(kernels, jobs);
   report::FigureData fig;
   fig.title =
       "X7 - Drop-in penalty vs core clock (the STT read quantizes to more "
@@ -583,7 +556,6 @@ report::FigureData sensitivity_clock(const KernelFilter& filter) {
 
 report::FigureData sensitivity_cell(const KernelFilter& filter) {
   const std::vector<Kernel> kernels = select_kernels(filter);
-  TraceCache cache;
   const CodegenOptions base = CodegenOptions::none();
   const auto dual = tech::stt_mram_l1d_64kb();
   const auto mtj1 = tech::stt_mram_l1d_64kb_1t1mtj();
@@ -594,12 +566,11 @@ report::FigureData sensitivity_cell(const KernelFilter& filter) {
     return cfg;
   };
   const auto grid = run_grid(
-      cache, kernels,
-      {{make_config(Dl1Organization::kSramBaseline), base},
-       {cfg_with(dual, Dl1Organization::kNvmDropIn), base},
-       {cfg_with(mtj1, Dl1Organization::kNvmDropIn), base},
-       {cfg_with(dual, Dl1Organization::kNvmVwb), base},
-       {cfg_with(mtj1, Dl1Organization::kNvmVwb), base}});
+      kernels, {{make_config(Dl1Organization::kSramBaseline), base},
+                {cfg_with(dual, Dl1Organization::kNvmDropIn), base},
+                {cfg_with(mtj1, Dl1Organization::kNvmDropIn), base},
+                {cfg_with(dual, Dl1Organization::kNvmVwb), base},
+                {cfg_with(mtj1, Dl1Organization::kNvmVwb), base}});
   const auto& sram = grid[0];
   report::FigureData fig;
   fig.title =
@@ -635,7 +606,6 @@ cpu::SystemConfig faulted_config(Dl1Organization org, std::uint32_t ppm) {
 
 report::FigureData fig_reliability_retention(const KernelFilter& filter) {
   const std::vector<Kernel> kernels = select_kernels(filter);
-  TraceCache cache;
   const CodegenOptions base = CodegenOptions::none();
   const std::vector<std::uint32_t> ppms{0, 1000, 10000, 100000};
   std::vector<SuiteJob> jobs;
@@ -643,7 +613,7 @@ report::FigureData fig_reliability_retention(const KernelFilter& filter) {
   for (const std::uint32_t ppm : ppms) {
     jobs.push_back({faulted_config(Dl1Organization::kNvmVwb, ppm), base});
   }
-  const auto grid = run_grid(cache, kernels, jobs);
+  const auto grid = run_grid(kernels, jobs);
   const auto& sram = grid[0];
   report::FigureData fig;
   fig.title =
@@ -680,7 +650,6 @@ report::FigureData fig_reliability_retention(const KernelFilter& filter) {
 
 report::FigureData fig_reliability_lifetime(const KernelFilter& filter) {
   const std::vector<Kernel> kernels = select_kernels(filter);
-  TraceCache cache;
   const CodegenOptions base = CodegenOptions::none();
   const auto stt = reliability::stt_mram_endurance();
   const std::vector<Dl1Organization> orgs{Dl1Organization::kNvmDropIn,
@@ -690,7 +659,7 @@ report::FigureData fig_reliability_lifetime(const KernelFilter& filter) {
   for (const Dl1Organization org : orgs) {
     jobs.push_back({make_config(org), base});
   }
-  const auto grid = run_grid(cache, kernels, jobs);
+  const auto grid = run_grid(kernels, jobs);
   // The RunStats wear counters (hottest frame / total array writes) are
   // enough to rebuild the projection, so this figure memoizes in the
   // result store — unlike lifetime_report, which needs the live array.
@@ -732,7 +701,6 @@ report::FigureData fig_reliability_lifetime(const KernelFilter& filter) {
 
 report::FigureData fig_reliability_ecc_overhead(const KernelFilter& filter) {
   const std::vector<Kernel> kernels = select_kernels(filter);
-  TraceCache cache;
   const CodegenOptions base = CodegenOptions::none();
   const std::vector<double> clocks{1.0, 2.0, 3.0};
   constexpr std::uint32_t kPpm = 100000;
@@ -746,7 +714,7 @@ report::FigureData fig_reliability_ecc_overhead(const KernelFilter& filter) {
     jobs.push_back({clean, base});
     jobs.push_back({faulted, base});
   }
-  const auto grid = run_grid(cache, kernels, jobs);
+  const auto grid = run_grid(kernels, jobs);
   report::FigureData fig;
   fig.title = strprintf(
       "R3 - ECC overhead vs core clock: runtime cost of the SEC-DED read "

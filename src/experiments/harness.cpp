@@ -5,6 +5,8 @@
 #include <chrono>
 #include <cstdio>
 #include <limits>
+#include <mutex>
+#include <optional>
 #include <tuple>
 #include <type_traits>
 
@@ -162,87 +164,42 @@ double gain_pct(const sim::RunStats& unoptimized,
   return (u - o) / u * 100.0;
 }
 
-bool TraceCache::KeyLess::less(const KeyView& a, const KeyView& b) {
-  if (const int c = a.kernel.compare(b.kernel); c != 0) return c < 0;
-  return codegen_tuple(*a.opts) < codegen_tuple(*b.opts);
-}
-
-std::shared_ptr<const cpu::DecodedTrace> TraceCache::get_decoded(
-    const workloads::Kernel& kernel, const workloads::CodegenOptions& opts) {
-  const KeyView lookup{kernel.name, &opts};
-  return cache_.get_or_generate(
-      lookup, [&] { return Key{kernel.name, opts}; },
-      [&] {
-        exec::Telemetry& telemetry = exec::Telemetry::instance();
-        exec::TraceStore* tstore = exec::trace_store();
-        if (tstore != nullptr) {
-          // Warm path: decode the stored compressed blob — no generation.
-          const std::uint64_t digest = trace_digest(kernel.name, opts);
-          std::vector<std::uint8_t> blob;
-          if (tstore->lookup(digest, blob)) {
-            const std::uint64_t t0 = now_ns();
-            cpu::CompressedTrace stored;
-            try {
-              if (cpu::deserialize_compressed(blob.data(), blob.size(),
-                                              stored)) {
-                cpu::DecodedTrace decoded = cpu::decompress(stored);
-                telemetry.count_decode_ns(now_ns() - t0);
-                telemetry.count_trace_store_hit();
-                return decoded;
-              }
-            } catch (const cpu::TraceIoError&) {
-              // decompress() rejected the stream.
-            }
-            // Malformed blob (the store's checksum only proves it is the
-            // blob that was written): fall through and regenerate.
-          }
-          telemetry.count_trace_store_miss();
+cpu::DecodedTrace load_or_synthesize(const workloads::Kernel& kernel,
+                                     const workloads::CodegenOptions& opts) {
+  exec::Telemetry& telemetry = exec::Telemetry::instance();
+  exec::TraceStore* tstore = exec::trace_store();
+  if (tstore != nullptr) {
+    // Warm path: decode the stored compressed blob — no synthesis.
+    const std::uint64_t digest = trace_digest(kernel.name, opts);
+    std::vector<std::uint8_t> blob;
+    if (tstore->lookup(digest, blob)) {
+      const std::uint64_t t0 = now_ns();
+      cpu::CompressedTrace stored;
+      try {
+        if (cpu::deserialize_compressed(blob.data(), blob.size(), stored)) {
+          cpu::DecodedTrace decoded = cpu::decompress(stored);
+          telemetry.count_decode_ns(now_ns() - t0);
+          telemetry.count_trace_store_hit();
+          return decoded;
         }
-        telemetry.count_trace_generated();
-        const std::uint64_t t0 = now_ns();
-        cpu::DecodedTrace decoded = kernel.generate_decoded(opts);
-        telemetry.count_generate_ns(now_ns() - t0);
-        if (tstore != nullptr) {
-          const std::vector<std::uint8_t> blob =
-              cpu::serialize_compressed(cpu::compress(decoded));
-          tstore->append(trace_digest(kernel.name, opts), blob.data(),
-                         blob.size());
-        }
-        return decoded;
-      });
-}
-
-void TraceCache::drop(const workloads::Kernel& kernel,
-                      const workloads::CodegenOptions& opts) {
-  cache_.drop(KeyView{kernel.name, &opts});
-}
-
-sim::RunStats run_kernel(TraceCache& cache, const workloads::Kernel& kernel,
-                         const cpu::SystemConfig& config,
-                         const workloads::CodegenOptions& opts) {
-  exec::ResultStore* store = exec::result_store();
-  std::uint64_t digest = 0;
-  if (store != nullptr) {
-    digest = simulation_digest(kernel.name, opts, config);
-    std::uint8_t payload[sim::kRunStatsBytes];
-    if (store->lookup(digest, payload)) {
-      exec::Telemetry::instance().count_memo_hit();
-      return sim::decode_run_stats(payload);
+      } catch (const cpu::TraceIoError&) {
+        // decompress() rejected the stream.
+      }
+      // Malformed blob (the store's checksum only proves it is the blob
+      // that was written): fall through and regenerate.
     }
-    exec::Telemetry::instance().count_memo_miss();
+    telemetry.count_trace_store_miss();
   }
-  const auto trace = cache.get_decoded(kernel, opts);
-  cpu::System system(config);
+  telemetry.count_trace_generated();
   const std::uint64_t t0 = now_ns();
-  const sim::RunStats stats = system.run(*trace);
-  exec::Telemetry::instance().count_replay_ns(now_ns() - t0);
-  exec::Telemetry::instance().count_simulation(trace->size());
-  if (store != nullptr) {
-    std::uint8_t payload[sim::kRunStatsBytes];
-    sim::encode_run_stats(stats, payload);
-    store->append(digest, payload);
+  cpu::DecodedTrace decoded = kernel.generate_decoded(opts);
+  telemetry.count_generate_ns(now_ns() - t0);
+  if (tstore != nullptr) {
+    const std::vector<std::uint8_t> blob =
+        cpu::serialize_compressed(cpu::compress(decoded));
+    tstore->append(trace_digest(kernel.name, opts), blob.data(), blob.size());
   }
-  return stats;
+  return decoded;
 }
 
 namespace {
@@ -284,31 +241,43 @@ void store_append(exec::ResultStore* store, std::uint64_t digest,
   store->append(digest, payload);
 }
 
+/// One distinct trace of a grid while its points run: loaded by the first
+/// of them, shared read-only by the rest, and freed by the one that
+/// completes the last.
+struct TraceSlot {
+  std::mutex mu;  // a plain mutex: std::call_once deadlocks under TSan
+  std::optional<cpu::DecodedTrace> trace;
+  std::size_t remaining = 0;  // points not yet completed
+};
+
 /// Runs `points` as one pool task each, in windows of as many traces as the
 /// pool has workers (window_by_trace), and scatters results into out[j][k].
 /// Completed misses append to the store from inside their task, so an
-/// interrupted campaign keeps every point it finished. The task that
-/// completes a trace's last point drops the trace from `cache`; a point
-/// that throws or is skipped never counts down, so its trace simply stays
-/// cached.
+/// interrupted campaign keeps every point it finished.
+///
+/// The first point of a trace loads it under the trace's slot lock, so its
+/// other points wait on that lock only; a load that throws leaves the slot
+/// empty and the next point of the trace retries. The point that completes
+/// a trace's last use frees it. A point that throws or is skipped never
+/// counts down, so its trace stays loaded until the slots die with the
+/// call.
 ///
 /// Each task checks the interrupt flag, then the grid deadline, before it
 /// starts: a point skipped by either keeps default RunStats and is counted
 /// (skip-and-report). A throwing point aborts the grid with the
 /// lowest-index exception once every point has run; an interrupt surfaces
 /// as Interrupted after the points in flight have appended their records.
-void run_points(TraceCache& cache,
-                const std::vector<workloads::Kernel>& kernels,
-                const std::vector<SuiteJob>& jobs,
-                std::vector<GridPoint> points, std::size_t n_traces,
-                exec::ResultStore* store,
-                std::vector<std::vector<sim::RunStats>>& out) {
+/// Returns the number of points replayed.
+std::size_t run_points(const std::vector<workloads::Kernel>& kernels,
+                       const std::vector<SuiteJob>& jobs,
+                       std::vector<GridPoint> points, std::size_t n_traces,
+                       exec::ResultStore* store,
+                       std::vector<std::vector<sim::RunStats>>& out) {
   exec::ParallelExecutor pool;
   window_by_trace(points, pool.jobs(), n_traces);
-  std::vector<std::atomic<std::size_t>> remaining(n_traces);
-  for (const GridPoint& p : points) {
-    remaining[p.trace].fetch_add(1, std::memory_order_relaxed);
-  }
+  std::vector<TraceSlot> slots(n_traces);
+  for (const GridPoint& p : points) ++slots[p.trace].remaining;
+  std::atomic<std::size_t> replayed{0};
   exec::Telemetry& telemetry = exec::Telemetry::instance();
   const double budget_s = exec::default_deadline();
   const auto deadline =
@@ -327,18 +296,26 @@ void run_points(TraceCache& cache,
         }
         const GridPoint& p = points[i];
         const SuiteJob& job = jobs[p.j];
-        const auto trace = cache.get_decoded(kernels[p.k], job.opts);
+        TraceSlot& slot = slots[p.trace];
+        {
+          std::lock_guard<std::mutex> lock(slot.mu);
+          if (!slot.trace) {
+            slot.trace = load_or_synthesize(kernels[p.k], job.opts);
+          }
+        }
+        // Loaded, and freed only once this point has counted down.
+        const cpu::DecodedTrace& trace = *slot.trace;
         cpu::System system(job.config, cpu::System::kPrevalidated);
         const std::uint64_t t0 = now_ns();
-        const sim::RunStats stats = system.run(*trace);
+        const sim::RunStats stats = system.run(trace);
         telemetry.count_replay_ns(now_ns() - t0);
-        telemetry.count_simulation(trace->size());
+        telemetry.count_simulation(trace.size());
         store_append(store, p.digest, stats);
+        ++replayed;
         // The point is complete and nothing below can throw, so it counts
         // down exactly once.
-        if (remaining[p.trace].fetch_sub(1, std::memory_order_acq_rel) == 1) {
-          cache.drop(kernels[p.k], job.opts);
-        }
+        std::lock_guard<std::mutex> lock(slot.mu);
+        if (--slot.remaining == 0) slot.trace.reset();
         return stats;
       });
   if (exec::interrupted()) {
@@ -349,12 +326,13 @@ void run_points(TraceCache& cache,
   for (std::size_t i = 0; i < points.size(); ++i) {
     out[points[i].j][points[i].k] = results[i];
   }
+  return replayed;
 }
 
 }  // namespace
 
 std::vector<std::vector<sim::RunStats>> run_grid(
-    TraceCache& cache, const std::vector<workloads::Kernel>& kernels,
+    const std::vector<workloads::Kernel>& kernels,
     const std::vector<SuiteJob>& jobs) {
   // Validate each configuration once, here, instead of once per grid
   // point: the jobs then construct Systems on the pre-validated path.
@@ -416,11 +394,10 @@ std::vector<std::vector<sim::RunStats>> run_grid(
     }
   }
 
-  const std::size_t n_points = points.size();
-  if (n_points != 0) {
-    run_points(cache, kernels, jobs, std::move(points),
-               jobs.size() * n_kernels, store, out);
-  }
+  const std::size_t simulated =
+      points.empty() ? 0
+                     : run_points(kernels, jobs, std::move(points),
+                                  jobs.size() * n_kernels, store, out);
   // Skip tally for this grid (delta over the run). A grid that skipped
   // nothing prints exactly the historical line, byte for byte.
   const exec::TelemetrySnapshot delta =
@@ -435,19 +412,13 @@ std::vector<std::vector<sim::RunStats>> run_grid(
     std::fprintf(
         stderr,
         "[sttsim] result store %s: %zu/%zu grid points warm, %zu simulated%s\n",
-        store->path().c_str(), hits, jobs.size() * n_kernels, n_points,
+        store->path().c_str(), hits, jobs.size() * n_kernels, simulated,
         skipped);
   } else if (skipped[0] != '\0') {
     std::fprintf(stderr, "[sttsim] grid: %zu points%s\n",
                  jobs.size() * n_kernels, skipped);
   }
   return out;
-}
-
-std::vector<sim::RunStats> run_suite(
-    TraceCache& cache, const std::vector<workloads::Kernel>& kernels,
-    const cpu::SystemConfig& config, const workloads::CodegenOptions& opts) {
-  return std::move(run_grid(cache, kernels, {{config, opts}}).front());
 }
 
 cpu::SystemConfig make_config(cpu::Dl1Organization org) {

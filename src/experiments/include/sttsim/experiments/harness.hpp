@@ -1,17 +1,15 @@
-// Shared plumbing for the paper's experiments: run (kernel x organization x
-// codegen) grids — fanned across a thread pool — compute penalties/gains,
-// and cache generated traces.
+// Shared plumbing for the paper's experiments: load or synthesize traces,
+// run (kernel x organization x codegen) grids — fanned across a thread
+// pool — and compute penalties/gains.
 #pragma once
 
 #include <cstdint>
 #include <initializer_list>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "sttsim/cpu/system.hpp"
-#include "sttsim/exec/memo_cache.hpp"
 #include "sttsim/sim/stats.hpp"
 #include "sttsim/tech/energy.hpp"
 #include "sttsim/workloads/suite.hpp"
@@ -31,60 +29,17 @@ double penalty_pct(const sim::RunStats& variant,
 double gain_pct(const sim::RunStats& unoptimized,
                 const sim::RunStats& optimized);
 
-/// Memoizes generated traces per (kernel, codegen) so the points of a grid
-/// that share a trace do not regenerate it (Kernel::generate_decoded).
-/// Concurrency-safe: a shared_mutex guards the index and a per-key
-/// once-latch guarantees each trace is generated exactly once even when many
-/// parallel jobs request it simultaneously. Cache hits allocate nothing
-/// (heterogeneous lookup by kernel-name view + codegen fields; no key string
-/// is built).
-///
-/// Traces are handed out as shared handles, and drop() forgets one: the
-/// memory goes when the last holder lets go. run_grid drops each trace after
-/// its last grid point, so a cache that only feeds grids holds just the
-/// traces of the points in flight; a later request for a dropped trace
-/// regenerates it (entries() counts that generation too).
-///
+/// The trace of `kernel` compiled with `opts` (Kernel::generate_decoded).
 /// When a persistent trace store is active (exec::set_trace_store; the
-/// benches' --trace-store=PATH flag), a miss probes the store by
-/// trace_digest first — a hit deserializes the stored CompressedTrace and
-/// decompresses it (no generation at all; Telemetry::traces_generated stays
-/// 0 on a warm run); a malformed blob counts as a miss — and a generated
-/// trace is compressed and appended for the next run. Without a store
-/// nothing is ever compressed.
-class TraceCache {
- public:
-  std::shared_ptr<const cpu::DecodedTrace> get_decoded(
-      const workloads::Kernel& kernel, const workloads::CodegenOptions& opts);
-  /// Forgets one trace; handles already given out stay valid.
-  void drop(const workloads::Kernel& kernel,
-            const workloads::CodegenOptions& opts);
-
-  /// Traces generated or loaded so far, dropped ones included.
-  std::size_t entries() const { return cache_.entries(); }
-
- private:
-  struct Key {
-    std::string kernel;
-    workloads::CodegenOptions opts;
-  };
-  struct KeyView {
-    std::string_view kernel;
-    const workloads::CodegenOptions* opts;
-  };
-  struct KeyLess {
-    using is_transparent = void;
-    static KeyView view(const Key& k) { return {k.kernel, &k.opts}; }
-    static KeyView view(const KeyView& v) { return v; }
-    static bool less(const KeyView& a, const KeyView& b);
-    template <typename A, typename B>
-    bool operator()(const A& a, const B& b) const {
-      return less(view(a), view(b));
-    }
-  };
-
-  exec::ConcurrentMemoCache<Key, cpu::DecodedTrace, KeyLess> cache_;
-};
+/// benches' --trace-store=PATH flag), the store is probed by trace_digest
+/// first — a hit deserializes the stored CompressedTrace and decompresses
+/// it (no synthesis at all; Telemetry::traces_generated stays 0 on a warm
+/// run); a malformed blob counts as a miss — and a synthesized trace is
+/// compressed and appended for the next run. Without a store nothing is
+/// ever compressed. Every call loads or synthesizes afresh: run_grid shares
+/// one load among the points of a grid.
+cpu::DecodedTrace load_or_synthesize(const workloads::Kernel& kernel,
+                                     const workloads::CodegenOptions& opts);
 
 /// Stable 64-bit digest of everything that determines a generated trace's
 /// bytes: kernel identity, codegen options — plus the trace-format version,
@@ -166,14 +121,6 @@ std::uint64_t simulation_digest(std::string_view kernel_name,
 std::uint64_t simulation_digest(const cpu::DecodedTrace& trace,
                                 const cpu::SystemConfig& config);
 
-/// Runs one kernel on one system configuration with the given codegen.
-/// When a persistent result store is active (exec::set_result_store), the
-/// store is probed first — a hit bypasses the simulation entirely — and
-/// computed results are appended for the next run.
-sim::RunStats run_kernel(TraceCache& cache, const workloads::Kernel& kernel,
-                         const cpu::SystemConfig& config,
-                         const workloads::CodegenOptions& opts);
-
 /// One grid point of an experiment: a full system configuration plus the
 /// codegen options the kernels are compiled with.
 struct SuiteJob {
@@ -188,13 +135,14 @@ struct SuiteJob {
 /// come back in deterministic input order — result[j][k] is jobs[j] on
 /// kernels[k] — byte-identical to the historical serial loops.
 ///
-/// Trace lifetime: the points are issued in windows of as many distinct
-/// (kernel, codegen) traces as the pool has workers, j-major inside a
-/// window, so a window's first tasks synthesize (or load) its traces in
-/// parallel. The task that finishes a trace's last point drops it from
-/// `cache`, so about one window of traces is resident at a time and each
-/// trace is still generated exactly once per grid. A point that throws or
-/// is skipped leaves its trace in `cache`.
+/// Trace lifetime: run_grid owns the grid's traces. The points are issued
+/// in windows of as many distinct (kernel, codegen) traces as the pool has
+/// workers, j-major inside a window, so a window's first tasks load or
+/// synthesize its traces in parallel (load_or_synthesize). The task that
+/// finishes a trace's last point frees it, so about one window of traces
+/// is resident at a time and each trace is loaded exactly once per grid
+/// (again only after a load that threw). A point that throws or is skipped
+/// keeps its trace until run_grid returns; no trace outlives the call.
 ///
 /// When a persistent result store is active (exec::set_result_store; the
 /// benches' --store=PATH flag), every point's digest is probed up front:
@@ -220,14 +168,8 @@ struct SuiteJob {
 /// missing ones. Without an interrupt or a deadline output stays
 /// byte-identical.
 std::vector<std::vector<sim::RunStats>> run_grid(
-    TraceCache& cache, const std::vector<workloads::Kernel>& kernels,
+    const std::vector<workloads::Kernel>& kernels,
     const std::vector<SuiteJob>& jobs);
-
-/// Runs every selected kernel on one configuration (a one-job grid);
-/// stats in suite order.
-std::vector<sim::RunStats> run_suite(
-    TraceCache& cache, const std::vector<workloads::Kernel>& kernels,
-    const cpu::SystemConfig& config, const workloads::CodegenOptions& opts);
 
 /// Convenience: a SystemConfig for an organization with paper defaults.
 cpu::SystemConfig make_config(cpu::Dl1Organization org);

@@ -117,46 +117,68 @@ class CampaignTest : public ::testing::Test {
 // rethrows the lowest-index error (broken_first: its first point is issued
 // before any broken_second point at either width), and only after every
 // other point ran and persisted — a warm re-run of the good kernels
-// simulates nothing and reproduces their clean bytes.
+// simulates nothing and reproduces their clean bytes. A third kernel's
+// generator throws only once: that one point fails, and the next point of
+// its trace loads the trace again, so its other two points complete and
+// persist.
 TEST_F(CampaignTest, ThrowingPointAbortsTheGridAfterEveryOtherPoint) {
   const auto jobs = small_grid();
   const auto good = experiments::select_kernels({"atax", "gesummv"});
+  std::atomic<bool> thrown{false};
   const std::vector<workloads::Kernel> kernels = {
       good[0],
       wrap_kernel("mvt", "broken_first",
                   [] { throw std::runtime_error("broken_first"); }),
+      wrap_kernel("durbin", "flaky",
+                  [&] {
+                    if (!thrown.exchange(true)) {
+                      throw std::runtime_error("flaky");
+                    }
+                  }),
       good[1],
       wrap_kernel("trisolv", "broken_second",
                   [] { throw std::runtime_error("broken_second"); })};
   const std::size_t good_points = jobs.size() * good.size();
+  const std::size_t flaky_points = jobs.size() - 1;  // all but the throw
 
-  experiments::TraceCache ref_cache;
   const std::string reference =
-      grid_fingerprint(experiments::run_grid(ref_cache, good, jobs));
+      grid_fingerprint(experiments::run_grid(good, jobs));
 
   auto& telemetry = exec::Telemetry::instance();
   for (const unsigned width : kWidths) {
     SCOPED_TRACE("--jobs=" + std::to_string(width));
     exec::set_default_jobs(width);
+    thrown = false;
     const std::string path = temp_store_path("throw" + std::to_string(width));
     std::remove(path.c_str());
     ScopedStore store(path);
     const exec::TelemetrySnapshot before = telemetry.snapshot();
-    experiments::TraceCache cache;
     try {
-      experiments::run_grid(cache, kernels, jobs);
+      experiments::run_grid(kernels, jobs);
       ADD_FAILURE() << "expected the generator's exception to propagate";
     } catch (const std::runtime_error& e) {
       EXPECT_STREQ(e.what(), "broken_first");
     }
     const exec::TelemetrySnapshot delta = telemetry.snapshot() - before;
-    EXPECT_EQ(delta.simulations, good_points);
-    EXPECT_EQ(store.get().entries(), good_points);
+    EXPECT_TRUE(thrown);
+    EXPECT_EQ(delta.simulations, good_points + flaky_points);
+    EXPECT_EQ(store.get().entries(), good_points + flaky_points);
+    if (width == 1) {
+      // The failed load was the first point of flaky's shared trace; the
+      // second point of that trace retried it.
+      std::uint8_t payload[sim::kRunStatsBytes];
+      EXPECT_FALSE(store.get().lookup(
+          experiments::simulation_digest("flaky", jobs[0].opts,
+                                         jobs[0].config),
+          payload));
+      EXPECT_TRUE(store.get().lookup(
+          experiments::simulation_digest("flaky", jobs[1].opts,
+                                         jobs[1].config),
+          payload));
+    }
 
     const exec::TelemetrySnapshot warm_before = telemetry.snapshot();
-    experiments::TraceCache warm_cache;
-    EXPECT_EQ(grid_fingerprint(experiments::run_grid(warm_cache, good, jobs)),
-              reference);
+    EXPECT_EQ(grid_fingerprint(experiments::run_grid(good, jobs)), reference);
     const exec::TelemetrySnapshot warm = telemetry.snapshot() - warm_before;
     EXPECT_EQ(warm.memo_hits, good_points);
     EXPECT_EQ(warm.simulations, 0u);
@@ -199,9 +221,8 @@ class InterruptedCampaign : public CampaignTest {
 // grid - P, and reproduces the uninterrupted bytes.
 TEST_F(InterruptedCampaign, ResumesOnlyTheMissingPoints) {
   const std::size_t grid = jobs_.size() * real_.size();
-  experiments::TraceCache ref_cache;
   const std::string reference =
-      grid_fingerprint(experiments::run_grid(ref_cache, real_, jobs_));
+      grid_fingerprint(experiments::run_grid(real_, jobs_));
 
   auto& telemetry = exec::Telemetry::instance();
   for (const unsigned width : kWidths) {
@@ -217,9 +238,7 @@ TEST_F(InterruptedCampaign, ResumesOnlyTheMissingPoints) {
     {
       ScopedStore store(path);
       const exec::TelemetrySnapshot before = telemetry.snapshot();
-      experiments::TraceCache cache;
-      EXPECT_THROW(experiments::run_grid(cache, kernels_, jobs_),
-                   exec::Interrupted);
+      EXPECT_THROW(experiments::run_grid(kernels_, jobs_), exec::Interrupted);
       const exec::TelemetrySnapshot delta = telemetry.snapshot() - before;
       persisted = store.get().entries();
       EXPECT_EQ(delta.simulations, persisted);
@@ -236,9 +255,8 @@ TEST_F(InterruptedCampaign, ResumesOnlyTheMissingPoints) {
     {
       ScopedStore store(path);
       const exec::TelemetrySnapshot before = telemetry.snapshot();
-      experiments::TraceCache cache;
       const std::string resumed =
-          grid_fingerprint(experiments::run_grid(cache, real_, jobs_));
+          grid_fingerprint(experiments::run_grid(real_, jobs_));
       const exec::TelemetrySnapshot delta = telemetry.snapshot() - before;
       EXPECT_EQ(delta.memo_hits, persisted);
       EXPECT_EQ(delta.memo_misses, grid - persisted);
@@ -264,8 +282,7 @@ TEST_F(InterruptedCampaign, BenchExitsWith130) {
     char* argv[] = {name, jobs_flag, store_flag.data(), nullptr};
     const int code = benchcli::guarded_main(
         3, argv, [&](const benchcli::Options&) {
-          experiments::TraceCache cache;
-          experiments::run_grid(cache, kernels_, jobs_);
+          experiments::run_grid(kernels_, jobs_);
           return 0;
         });
     _exit(code);
@@ -308,8 +325,7 @@ TEST_F(CampaignTest, DeadlineSkipsAndReportsPointsNotStarted) {
   const auto jobs = small_grid();
   const auto real = experiments::select_kernels({"atax", "mvt"});
   const std::size_t grid = jobs.size() * real.size();
-  experiments::TraceCache ref_cache;
-  const auto reference = experiments::run_grid(ref_cache, real, jobs);
+  const auto reference = experiments::run_grid(real, jobs);
 
   std::vector<workloads::Kernel> sleepy;
   for (const workloads::Kernel& k : real) {
@@ -323,8 +339,7 @@ TEST_F(CampaignTest, DeadlineSkipsAndReportsPointsNotStarted) {
     SCOPED_TRACE("--jobs=" + std::to_string(width));
     exec::set_default_jobs(width);
     const exec::TelemetrySnapshot before = telemetry.snapshot();
-    experiments::TraceCache cache;
-    const auto degraded = experiments::run_grid(cache, sleepy, jobs);
+    const auto degraded = experiments::run_grid(sleepy, jobs);
     const exec::TelemetrySnapshot delta = telemetry.snapshot() - before;
     std::size_t completed = 0;
     for (std::size_t j = 0; j < jobs.size(); ++j) {
@@ -346,6 +361,16 @@ TEST_F(CampaignTest, DeadlineSkipsAndReportsPointsNotStarted) {
 }
 
 // ---- Degraded figures ------------------------------------------------------
+
+/// Occurrences of `needle` in `text`.
+std::size_t count(const std::string& text, const std::string& needle) {
+  std::size_t n = 0;
+  for (std::size_t at = text.find(needle); at != std::string::npos;
+       at = text.find(needle, at + 1)) {
+    ++n;
+  }
+  return n;
+}
 
 /// Every cell of `fig`, AVERAGE row included.
 std::vector<double> cells(const report::FigureData& fig) {
@@ -389,10 +414,17 @@ TEST_F(CampaignTest, SkippedPointsMakeNanCellsInEveryAssembly) {
     };
     for (const auto& [name, figure, served_columns] : figures) {
       const exec::TelemetrySnapshot before = telemetry.snapshot();
+      ::testing::internal::CaptureStderr();
       const report::FigureData fig = figure(kernels);
+      const std::string summary = ::testing::internal::GetCapturedStderr();
       const exec::TelemetrySnapshot delta = telemetry.snapshot() - before;
       EXPECT_GT(delta.tasks_timed_out, 0u) << name;
       EXPECT_EQ(delta.simulations, 0u) << name;
+      // Every grid's store summary says so too: skipped points are not
+      // counted as simulated.
+      EXPECT_GT(count(summary, " simulated"), 0u) << name;
+      EXPECT_EQ(count(summary, " 0 simulated"), count(summary, " simulated"))
+          << name << ": " << summary;
       std::size_t nan = 0;
       for (const double v : cells(fig)) nan += std::isnan(v);
       const std::size_t rows = kernels.size() + 1;  // + AVERAGE
@@ -418,8 +450,7 @@ TEST_F(CampaignTest, BenchWithSkippedPointsReportsThemAndExits3) {
     char deadline_flag[] = "--deadline=0.25";
     char* argv[] = {name, jobs_flag, deadline_flag, nullptr};
     return benchcli::guarded_main(3, argv, [&](const benchcli::Options&) {
-      experiments::TraceCache cache;
-      experiments::run_grid(cache, sleepy, jobs);
+      experiments::run_grid(sleepy, jobs);
       return 0;
     });
   };
@@ -472,9 +503,8 @@ TEST_F(CampaignTest, TwoProcessCampaignsUnionIntoOneStore) {
   const std::string path = temp_store_path("twoprocess");
   std::remove(path.c_str());
 
-  experiments::TraceCache ref_cache;
   const std::string reference = grid_fingerprint(
-      experiments::run_grid(ref_cache, kernels_parent, jobs));
+      experiments::run_grid(kernels_parent, jobs));
 
   std::fflush(nullptr);
   const pid_t pid = fork();
@@ -484,8 +514,7 @@ TEST_F(CampaignTest, TwoProcessCampaignsUnionIntoOneStore) {
     try {
       exec::ResultStore child_store(path, sim::kRunStatsBytes);
       exec::set_result_store(&child_store);
-      experiments::TraceCache cache;
-      experiments::run_grid(cache, kernels_child, jobs);
+      experiments::run_grid(kernels_child, jobs);
       exec::set_result_store(nullptr);
     } catch (...) {
       code = 1;
@@ -496,8 +525,7 @@ TEST_F(CampaignTest, TwoProcessCampaignsUnionIntoOneStore) {
   {
     // Parent campaign runs while the child is running.
     ScopedStore store(path);
-    experiments::TraceCache cache;
-    experiments::run_grid(cache, kernels_parent, jobs);
+    experiments::run_grid(kernels_parent, jobs);
   }
   int status = 0;
   waitpid(pid, &status, 0);
@@ -512,9 +540,8 @@ TEST_F(CampaignTest, TwoProcessCampaignsUnionIntoOneStore) {
     ScopedStore store(path);  // fresh open indexes the whole shared file
     EXPECT_EQ(store.get().entries(), union_points);
     const exec::TelemetrySnapshot before = telemetry.snapshot();
-    experiments::TraceCache cache;
     const std::string warm = grid_fingerprint(
-        experiments::run_grid(cache, kernels_parent, jobs));
+        experiments::run_grid(kernels_parent, jobs));
     const exec::TelemetrySnapshot delta = telemetry.snapshot() - before;
     EXPECT_EQ(delta.memo_hits, union_points);
     EXPECT_EQ(delta.memo_misses, 0u);
@@ -542,8 +569,7 @@ TEST_F(CampaignTest, DisjointTwoProcessCampaignsBothStayWarm) {
     try {
       exec::ResultStore child_store(path, sim::kRunStatsBytes);
       exec::set_result_store(&child_store);
-      experiments::TraceCache cache;
-      experiments::run_grid(cache, kernels_a, jobs);
+      experiments::run_grid(kernels_a, jobs);
       exec::set_result_store(nullptr);
     } catch (...) {
       code = 1;
@@ -553,8 +579,7 @@ TEST_F(CampaignTest, DisjointTwoProcessCampaignsBothStayWarm) {
   ASSERT_GT(pid, 0);
   {
     ScopedStore store(path);
-    experiments::TraceCache cache;
-    experiments::run_grid(cache, kernels_b, jobs);
+    experiments::run_grid(kernels_b, jobs);
   }
   int status = 0;
   waitpid(pid, &status, 0);
@@ -566,9 +591,8 @@ TEST_F(CampaignTest, DisjointTwoProcessCampaignsBothStayWarm) {
   auto& telemetry = exec::Telemetry::instance();
   ScopedStore store(path);
   const exec::TelemetrySnapshot before = telemetry.snapshot();
-  experiments::TraceCache cache;
-  experiments::run_grid(cache, kernels_a, jobs);
-  experiments::run_grid(cache, kernels_b, jobs);
+  experiments::run_grid(kernels_a, jobs);
+  experiments::run_grid(kernels_b, jobs);
   const exec::TelemetrySnapshot delta = telemetry.snapshot() - before;
   EXPECT_EQ(delta.memo_hits, 2 * jobs.size());
   EXPECT_EQ(delta.memo_misses, 0u);
@@ -581,14 +605,11 @@ TEST_F(CampaignTest, DisjointTwoProcessCampaignsBothStayWarm) {
 TEST_F(CampaignTest, UndisturbedGridIsInvisibleAtAnyWidth) {
   const auto kernels = experiments::select_kernels({"atax"});
   const auto jobs = small_grid();
-  experiments::TraceCache ref_cache;
   const std::string reference =
-      grid_fingerprint(experiments::run_grid(ref_cache, kernels, jobs));
+      grid_fingerprint(experiments::run_grid(kernels, jobs));
   for (const unsigned width : kWidths) {
     exec::set_default_jobs(width);
-    experiments::TraceCache cache;
-    EXPECT_EQ(grid_fingerprint(experiments::run_grid(cache, kernels, jobs)),
-              reference)
+    EXPECT_EQ(grid_fingerprint(experiments::run_grid(kernels, jobs)), reference)
         << "results changed at --jobs=" << width;
   }
 }

@@ -10,7 +10,8 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <iterator>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "sttsim/check/differential.hpp"
@@ -291,8 +292,9 @@ TEST(FaultInjection, SkippedEccCorrectionLatencyIsCaughtAndMinimized) {
   const std::string path = check::write_reproducer(dir, "ecc_skip", cfg, min);
   EXPECT_EQ(cpu::read_trace_file(path), min.trace);
   std::ifstream txt(dir + "/ecc_skip.txt");
-  const std::string body((std::istreambuf_iterator<char>(txt)),
-                         std::istreambuf_iterator<char>());
+  std::ostringstream text;
+  text << txt.rdbuf();
+  const std::string body = text.str();
   EXPECT_NE(body.find("--faults="), std::string::npos);
   EXPECT_NE(body.find("--ecc="), std::string::npos);
   std::filesystem::remove_all(dir);

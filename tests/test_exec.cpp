@@ -1,25 +1,22 @@
 // Unit tests for the parallel experiment engine: executor ordering and
-// exception propagation, the concurrent memo-cache's exactly-once
-// generation, and the throughput telemetry counters.
+// exception propagation, the throughput telemetry counters, and the result
+// store under concurrent pool workers.
 //
 // Deliberately includes only sttsim/exec headers: the test_exec_tsan
 // target recompiles this file together with the exec sources under
 // ThreadSanitizer, with no dependency on the simulation libraries.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <latch>
 #include <stdexcept>
 #include <string>
-#include <string_view>
 #include <thread>
 #include <vector>
 
 #include <unistd.h>
 
-#include "sttsim/exec/memo_cache.hpp"
 #include "sttsim/exec/parallel_executor.hpp"
 #include "sttsim/exec/result_store.hpp"
 #include "sttsim/exec/telemetry.hpp"
@@ -111,113 +108,6 @@ TEST(ParallelExecutor, SerialMapPropagatesException) {
   }
   EXPECT_EQ(ran, (std::vector<std::size_t>{0, 1, 2, 3}))
       << "tasks after the throwing one must still run, in input order";
-}
-
-TEST(MemoCache, GeneratesEachKeyExactlyOnceUnderContention) {
-  ConcurrentMemoCache<int, std::string> cache;
-  constexpr int kKeys = 10;
-  std::atomic<int> generations{0};
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 8; ++t) {
-    threads.emplace_back([&] {
-      for (int iter = 0; iter < 50; ++iter) {
-        for (int key = 0; key < kKeys; ++key) {
-          const auto v = cache.get_or_generate(
-              key, [&] { return key; },
-              [&] {
-                generations.fetch_add(1);
-                return "value-" + std::to_string(key);
-              });
-          ASSERT_EQ(*v, "value-" + std::to_string(key));
-        }
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(generations.load(), kKeys);
-  EXPECT_EQ(cache.entries(), static_cast<std::size_t>(kKeys));
-}
-
-TEST(MemoCache, HitReturnsSameObjectAndSkipsKeyMaterialization) {
-  ConcurrentMemoCache<std::string, int> cache;
-  int keys_built = 0;
-  const auto get = [&] {
-    return cache.get_or_generate(
-        std::string_view("k"),
-        [&] {
-          ++keys_built;
-          return std::string("k");
-        },
-        [] { return 7; });
-  };
-  const auto a = get();
-  const auto b = get();
-  EXPECT_EQ(a, b);
-  EXPECT_EQ(*a, 7);
-  EXPECT_EQ(keys_built, 1);  // the hit path never built the owning key
-}
-
-TEST(MemoCache, GeneratorFailureIsRetriable) {
-  ConcurrentMemoCache<int, int> cache;
-  int calls = 0;
-  const auto get = [&] {
-    return cache.get_or_generate(
-        1, [] { return 1; },
-        [&] {
-          if (++calls == 1) throw std::runtime_error("flaky");
-          return 99;
-        });
-  };
-  EXPECT_THROW(get(), std::runtime_error);
-  EXPECT_EQ(cache.entries(), 0u);
-  EXPECT_EQ(*get(), 99);
-  EXPECT_EQ(cache.entries(), 1u);
-}
-
-// drop() racing lookups: every thread keeps reading the value it got
-// while others drop and regenerate the same keys, so a drop that freed a
-// value still in use shows up under ASan/TSan (test_exec_tsan).
-TEST(MemoCache, DropNeverFreesAValueInUse) {
-  ConcurrentMemoCache<int, std::vector<int>> cache;
-  constexpr int kKeys = 4;
-  std::atomic<std::size_t> generations{0};
-  const auto get = [&](int key) {
-    return cache.get_or_generate(
-        key, [&] { return key; },
-        [&] {
-          generations.fetch_add(1);
-          return std::vector<int>(64, key);
-        });
-  };
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 8; ++t) {
-    threads.emplace_back([&, t] {
-      for (int iter = 0; iter < 200; ++iter) {
-        const int key = (t + iter) % kKeys;
-        const auto held = get(key);
-        if ((t + iter) % 3 == 0) cache.drop(key);
-        const auto again = get(key);
-        for (const auto* v : {held.get(), again.get()}) {
-          ASSERT_EQ(v->size(), 64u);
-          for (const int x : *v) ASSERT_EQ(x, key);
-        }
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(cache.entries(), generations.load());
-  EXPECT_GT(generations.load(), static_cast<std::size_t>(kKeys))
-      << "drops should have forced regenerations";
-
-  // A dropped key regenerates on its next request; holders keep theirs.
-  const auto held = get(0);
-  const std::size_t before = cache.entries();
-  cache.drop(0);
-  cache.drop(0);  // dropping an absent key is a no-op
-  const auto fresh = get(0);
-  EXPECT_EQ(cache.entries(), before + 1);
-  EXPECT_NE(held, fresh);
-  EXPECT_EQ(*held, *fresh);
 }
 
 TEST(Telemetry, CountersAccumulateAndSnapshotDiffs) {

@@ -1,5 +1,5 @@
-// Unit tests: the experiment harness (penalty math, trace cache, configs,
-// energy plumbing) and the artifact drivers' structure on a small kernel
+// Unit tests: the experiment harness (penalty math, configs, energy
+// plumbing) and the artifact drivers' structure on a small kernel
 // subset.
 #include <gtest/gtest.h>
 
@@ -25,17 +25,6 @@ TEST(Harness, PenaltyPct) {
 TEST(Harness, GainPct) {
   EXPECT_DOUBLE_EQ(gain_pct(with_cycles(100), with_cycles(50)), 50.0);
   EXPECT_DOUBLE_EQ(gain_pct(with_cycles(100), with_cycles(100)), 0.0);
-}
-
-TEST(Harness, TraceCacheMemoizesPerKernelAndOptions) {
-  TraceCache cache;
-  const auto& k = workloads::find_kernel("trisolv");
-  const auto a = cache.get_decoded(k, workloads::CodegenOptions::none());
-  const auto b = cache.get_decoded(k, workloads::CodegenOptions::none());
-  EXPECT_EQ(a, b);
-  EXPECT_EQ(cache.entries(), 1u);
-  cache.get_decoded(k, workloads::CodegenOptions::all());
-  EXPECT_EQ(cache.entries(), 2u);
 }
 
 TEST(Harness, SelectKernelsEmptyMeansAll) {

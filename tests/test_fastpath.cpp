@@ -101,7 +101,7 @@ TEST(ObservedRun, MatchesUnobservedOnRandomTraces) {
 
 TEST(ObservedRun, MatchesUnobservedOnKernelTrace) {
   // The same decoded trace is shared (read-only) across organizations,
-  // exactly as the grid's trace cache shares it across workers.
+  // exactly as run_grid shares it across workers.
   const cpu::DecodedTrace decoded = testutil::kernel_trace(
       workloads::gemm_into, workloads::CodegenOptions::none(), 20, 20, 20);
   for (const cpu::SystemConfig& cfg : all_instantiations()) {

@@ -1,17 +1,15 @@
 // The parallel experiment engine's correctness contract: every figure
 // function produces byte-identical output at --jobs=1 (the historical
-// serial path) and --jobs=8, the concurrent TraceCache generates each
-// trace exactly once no matter how many threads request it, and run_grid
-// frees each trace after its last grid point without ever regenerating
-// one.
+// serial path) and --jobs=8, a grid agrees with its points run one at a
+// time, run_grid loads each trace exactly once no matter how many workers
+// share it, and at one worker it completes a trace's points before it
+// loads the next trace.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdio>
 #include <functional>
-#include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "sttsim/exec/interrupt.hpp"
@@ -83,53 +81,19 @@ TEST_F(ParallelDeterminism, LifetimeReportIsJobCountInvariant) {
   EXPECT_EQ(serial, parallel);
 }
 
-TEST(TraceCacheConcurrency, ManyThreadsOneGenerationPerKey) {
-  TraceCache cache;
+TEST(RunGrid, GridMatchesOnePointGrids) {
+  // run_grid's fan-out must agree with each point run as its own grid.
   const auto kernels = select_kernels({"trisolv", "gesummv"});
   const workloads::CodegenOptions base = workloads::CodegenOptions::none();
-  const workloads::CodegenOptions full = workloads::CodegenOptions::all();
-  std::vector<std::thread> threads;
-  std::vector<std::shared_ptr<const cpu::DecodedTrace>> seen(8 * 4);
-  for (int t = 0; t < 8; ++t) {
-    threads.emplace_back([&, t] {
-      for (int i = 0; i < 4; ++i) {
-        const auto& kernel = kernels[static_cast<std::size_t>(i) % 2];
-        const auto& opts = (i / 2 == 0) ? base : full;
-        seen[static_cast<std::size_t>(t * 4 + i)] =
-            cache.get_decoded(kernel, opts);
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  // 2 kernels x 2 codegen variants -> exactly 4 generated traces.
-  EXPECT_EQ(cache.entries(), 4u);
-  // Every requester of the same key observed the same object.
-  for (int t = 1; t < 8; ++t) {
-    for (int i = 0; i < 4; ++i) {
-      EXPECT_EQ(seen[static_cast<std::size_t>(t * 4 + i)],
-                seen[static_cast<std::size_t>(i)]);
-    }
-  }
-}
-
-TEST(TraceCacheConcurrency, GridMatchesPerCallRuns) {
-  // run_grid's fan-out must agree with run_kernel one at a time.
-  const auto kernels = select_kernels({"trisolv", "gesummv"});
-  const workloads::CodegenOptions base = workloads::CodegenOptions::none();
-  const auto sram_cfg = make_config(cpu::Dl1Organization::kSramBaseline);
-  const auto vwb_cfg = make_config(cpu::Dl1Organization::kNvmVwb);
-  TraceCache grid_cache;
-  const auto grid = at_jobs(8, [&] {
-    return run_grid(grid_cache, kernels, {{sram_cfg, base}, {vwb_cfg, base}});
-  });
-  TraceCache serial_cache;
-  for (std::size_t j = 0; j < 2; ++j) {
-    const auto& cfg = j == 0 ? sram_cfg : vwb_cfg;
+  const std::vector<SuiteJob> jobs = {
+      {make_config(cpu::Dl1Organization::kSramBaseline), base},
+      {make_config(cpu::Dl1Organization::kNvmVwb), base}};
+  const auto grid = at_jobs(8, [&] { return run_grid(kernels, jobs); });
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
     for (std::size_t k = 0; k < kernels.size(); ++k) {
-      const auto one = run_kernel(serial_cache, kernels[k], cfg, base);
-      EXPECT_EQ(grid[j][k].core.total_cycles, one.core.total_cycles);
-      EXPECT_EQ(grid[j][k].mem.loads, one.mem.loads);
-      EXPECT_EQ(grid[j][k].mem.stores, one.mem.stores);
+      const sim::RunStats one = run_grid({kernels[k]}, {jobs[j]})[0][0];
+      EXPECT_EQ(sim::to_json(grid[j][k]), sim::to_json(one))
+          << kernels[k].name << " on job " << j;
     }
   }
 }
@@ -145,28 +109,16 @@ class GridTraceLifetime : public ::testing::Test {
 
   void TearDown() override { exec::clear_interrupt(); }
 
-  /// Runs the grid on a fresh cache at `jobs` workers, checks the lifetime
-  /// contract, and returns the grid's bytes.
+  /// Runs the grid at `jobs` workers, checks that each trace was loaded
+  /// exactly once, and returns the grid's bytes.
   std::string run_checked(unsigned jobs) {
-    TraceCache cache;
     exec::Telemetry& telemetry = exec::Telemetry::instance();
     const exec::TelemetrySnapshot before = telemetry.snapshot();
-    const auto grid =
-        at_jobs(jobs, [&] { return run_grid(cache, kernels_, jobs_); });
+    const auto grid = at_jobs(jobs, [&] { return run_grid(kernels_, jobs_); });
     const exec::TelemetrySnapshot delta = telemetry.snapshot() - before;
-    EXPECT_EQ(cache.entries(), kTraces)
+    EXPECT_EQ(delta.traces_generated, kTraces)
         << "each (kernel, codegen) is generated exactly once per grid";
-    EXPECT_EQ(delta.traces_generated, kTraces);
     EXPECT_EQ(delta.simulations, jobs_.size() * kernels_.size());
-    // No trace the grid used is still resident: asking for each again
-    // generates it again.
-    for (const SuiteJob& job : jobs_) {
-      for (const workloads::Kernel& k : kernels_) {
-        cache.get_decoded(k, job.opts);
-      }
-    }
-    EXPECT_EQ(cache.entries(), 2 * kTraces)
-        << "a trace outlived the last grid point that used it";
     std::string bytes;
     for (const auto& row : grid) {
       for (const sim::RunStats& s : row) bytes += sim::to_json(s) + "\n";
@@ -185,24 +137,62 @@ class GridTraceLifetime : public ::testing::Test {
        workloads::CodegenOptions::all()}};
 };
 
-TEST_F(GridTraceLifetime, WindowedGridIsJobCountInvariantAndFreesEveryTrace) {
+TEST_F(GridTraceLifetime, WindowedGridLoadsEachTraceOnceAtAnyWidth) {
   EXPECT_EQ(run_checked(1), run_checked(8));
 }
 
-// The grid is interrupted when durbin's first trace is generated. A trace
-// all of whose points completed was freed; a trace with points completed
-// and points skipped stays cached, because the skipped points never count
-// it down; a trace with no completed point was never generated. The
-// result store tells completed points from skipped ones.
-TEST_F(GridTraceLifetime, InterruptedGridFreesOnlyFullyCompletedTraces) {
+// At one worker a window holds one trace, so every point of trace n has
+// run and reached the result store before trace n+1 is synthesized: the
+// bound on resident traces (and so on peak memory) rests on this order.
+TEST_F(GridTraceLifetime, SerialGridCompletesEachTraceBeforeTheNext) {
+  const std::string path = ::testing::TempDir() + "sttsim_lifetime_window.bin";
+  std::remove(path.c_str());
+  exec::ResultStore store(path, sim::kRunStatsBytes);
+  exec::set_result_store(&store);
+  struct Synthesized {
+    std::string kernel;
+    workloads::CodegenOptions opts;
+  };
+  std::vector<Synthesized> order;
+  std::vector<workloads::Kernel> kernels = kernels_;
+  for (workloads::Kernel& k : kernels) {
+    k.generate_decoded = [&, real = k.generate_decoded,
+                          name = k.name](const workloads::CodegenOptions& o) {
+      if (!order.empty()) {
+        const Synthesized& prev = order.back();
+        for (const SuiteJob& job : jobs_) {
+          if (!(job.opts == prev.opts)) continue;
+          std::uint8_t payload[sim::kRunStatsBytes];
+          EXPECT_TRUE(store.lookup(
+              simulation_digest(prev.kernel, prev.opts, job.config), payload))
+              << name << " / " << o.label() << " synthesized before "
+              << prev.kernel << " / " << prev.opts.label() << " completed";
+        }
+      }
+      order.push_back({name, o});
+      return real(o);
+    };
+  }
+  at_jobs(1, [&] { return run_grid(kernels, jobs_); });
+  exec::set_result_store(nullptr);
+  EXPECT_EQ(order.size(), kTraces);
+  EXPECT_EQ(store.entries(), jobs_.size() * kernels_.size());
+  std::remove(path.c_str());
+}
+
+// The grid is interrupted when durbin's first trace is generated: the
+// points in flight finish and persist, the rest are skipped, and no trace
+// is loaded twice. At one worker both trisolv points and durbin's first
+// point completed, durbin's second was skipped, and no other trace was
+// generated.
+TEST_F(GridTraceLifetime, InterruptedGridLoadsNoTraceTwice) {
   std::vector<workloads::Kernel> kernels = kernels_;
   const auto real = kernels[1].generate_decoded;
   kernels[1].generate_decoded = [&](const workloads::CodegenOptions& o) {
     exec::request_interrupt();
     return real(o);
   };
-  const std::vector<workloads::CodegenOptions> codegens = {
-      workloads::CodegenOptions::none(), workloads::CodegenOptions::all()};
+  exec::Telemetry& telemetry = exec::Telemetry::instance();
   for (const unsigned jobs : {1u, 8u}) {
     SCOPED_TRACE("--jobs=" + std::to_string(jobs));
     exec::clear_interrupt();
@@ -212,36 +202,18 @@ TEST_F(GridTraceLifetime, InterruptedGridFreesOnlyFullyCompletedTraces) {
     std::remove(path.c_str());
     exec::ResultStore store(path, sim::kRunStatsBytes);
     exec::set_result_store(&store);
-    TraceCache cache;
-    EXPECT_THROW(at_jobs(jobs, [&] { return run_grid(cache, kernels, jobs_); }),
+    const exec::TelemetrySnapshot before = telemetry.snapshot();
+    EXPECT_THROW(at_jobs(jobs, [&] { return run_grid(kernels, jobs_); }),
                  exec::Interrupted);
+    const exec::TelemetrySnapshot delta = telemetry.snapshot() - before;
     exec::set_result_store(nullptr);
-    std::size_t partial = 0;
-    for (const workloads::Kernel& kernel : kernels) {
-      for (const workloads::CodegenOptions& opts : codegens) {
-        std::size_t points = 0;
-        std::size_t completed = 0;
-        for (const SuiteJob& job : jobs_) {
-          if (!(job.opts == opts)) continue;
-          ++points;
-          std::uint8_t payload[sim::kRunStatsBytes];
-          completed += store.lookup(
-              simulation_digest(kernel.name, opts, job.config), payload);
-        }
-        const bool cached = completed != 0 && completed != points;
-        partial += cached;
-        const std::size_t generated = cache.entries();
-        cache.get_decoded(kernel, opts);
-        EXPECT_EQ(cache.entries() == generated, cached)
-            << kernel.name << " / " << opts.label() << ": " << completed
-            << " of " << points << " points completed";
-      }
-    }
-    // At one worker both trisolv points completed (trace freed), durbin's
-    // first point raised the interrupt and completed, and its second was
-    // skipped (trace cached); no other trace was generated.
+    EXPECT_LE(delta.traces_generated, kTraces);
+    EXPECT_EQ(delta.simulations, store.entries());
+    EXPECT_EQ(delta.tasks_cancelled,
+              jobs_.size() * kernels_.size() - store.entries());
     if (jobs == 1) {
-      EXPECT_EQ(partial, 1u);
+      EXPECT_EQ(delta.traces_generated, 2u);
+      EXPECT_EQ(store.entries(), 3u);
     }
     std::remove(path.c_str());
   }

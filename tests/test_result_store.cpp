@@ -716,9 +716,8 @@ TEST(IncrementalGrid, WarmRerunIsByteIdenticalAtAnyPoolWidth) {
 
   // Reference: no store at all.
   exec::set_result_store(nullptr);
-  experiments::TraceCache ref_cache;
   const std::string reference =
-      grid_fingerprint(experiments::run_grid(ref_cache, kernels, jobs));
+      grid_fingerprint(experiments::run_grid(kernels, jobs));
 
   for (const unsigned width : {1u, 8u}) {
     const std::string path = temp_store_path("warmgrid");
@@ -730,27 +729,24 @@ TEST(IncrementalGrid, WarmRerunIsByteIdenticalAtAnyPoolWidth) {
     {
       ScopedStore store(path);
       const exec::TelemetrySnapshot before = telemetry.snapshot();
-      experiments::TraceCache cache;
-      cold = grid_fingerprint(experiments::run_grid(cache, kernels, jobs));
+      cold = grid_fingerprint(experiments::run_grid(kernels, jobs));
       const exec::TelemetrySnapshot delta = telemetry.snapshot() - before;
       EXPECT_EQ(delta.memo_hits, 0u);
       EXPECT_EQ(delta.memo_misses, n_points);
     }
-    // Fresh store object + fresh trace cache: the warm pass must be served
-    // entirely from disk and generate no traces.
+    // Fresh store object: the warm pass must be served entirely from disk
+    // and generate no traces.
     {
       ScopedStore store(path);
       const exec::TelemetrySnapshot before = telemetry.snapshot();
-      experiments::TraceCache cache;
       const std::string warm =
-          grid_fingerprint(experiments::run_grid(cache, kernels, jobs));
+          grid_fingerprint(experiments::run_grid(kernels, jobs));
       const exec::TelemetrySnapshot delta = telemetry.snapshot() - before;
       EXPECT_EQ(delta.memo_hits, n_points);
       EXPECT_EQ(delta.memo_misses, 0u);
       EXPECT_EQ(delta.traces_generated, 0u);
       EXPECT_EQ(delta.simulations, 0u);
       EXPECT_EQ(warm, cold) << "warm grid diverged at --jobs=" << width;
-      EXPECT_EQ(cache.entries(), 0u);
     }
     EXPECT_EQ(cold, reference) << "store changed results at --jobs=" << width;
     std::remove(path.c_str());
@@ -770,23 +766,18 @@ TEST(IncrementalGrid, SingleParameterEditRecomputesOnlyDirtyPoints) {
 
   auto& telemetry = exec::Telemetry::instance();
   ScopedStore store(path);
-  {
-    experiments::TraceCache cache;
-    experiments::run_grid(cache, kernels, jobs);
-  }
+  experiments::run_grid(kernels, jobs);
 
   jobs[1].config.vwb_total_kbit *= 2;  // the one-parameter campaign edit
   const exec::TelemetrySnapshot before = telemetry.snapshot();
-  experiments::TraceCache cache;
-  experiments::run_grid(cache, kernels, jobs);
+  experiments::run_grid(kernels, jobs);
   const exec::TelemetrySnapshot delta = telemetry.snapshot() - before;
   EXPECT_EQ(delta.memo_misses, kernels.size());  // jobs[1] x every kernel
   EXPECT_EQ(delta.memo_hits, n_points - kernels.size());
 
   // The dirty points were appended: an immediate re-run is all hits.
   const exec::TelemetrySnapshot before2 = telemetry.snapshot();
-  experiments::TraceCache cache2;
-  experiments::run_grid(cache2, kernels, jobs);
+  experiments::run_grid(kernels, jobs);
   const exec::TelemetrySnapshot delta2 = telemetry.snapshot() - before2;
   EXPECT_EQ(delta2.memo_hits, n_points);
   EXPECT_EQ(delta2.memo_misses, 0u);
@@ -817,17 +808,13 @@ TEST(IncrementalGrid, FaultSeedEditRecomputesOnlyFaultActivePoints) {
 
   auto& telemetry = exec::Telemetry::instance();
   ScopedStore store(path);
-  std::string cold;
-  {
-    experiments::TraceCache cache;
-    cold = grid_fingerprint(experiments::run_grid(cache, kernels, jobs));
-  }
+  const std::string cold =
+      grid_fingerprint(experiments::run_grid(kernels, jobs));
   // Same seed, fresh pass: all hits, byte-identical.
   {
     const exec::TelemetrySnapshot before = telemetry.snapshot();
-    experiments::TraceCache cache;
     const std::string warm =
-        grid_fingerprint(experiments::run_grid(cache, kernels, jobs));
+        grid_fingerprint(experiments::run_grid(kernels, jobs));
     const exec::TelemetrySnapshot delta = telemetry.snapshot() - before;
     EXPECT_EQ(delta.memo_hits, n_points);
     EXPECT_EQ(delta.memo_misses, 0u);
@@ -837,44 +824,13 @@ TEST(IncrementalGrid, FaultSeedEditRecomputesOnlyFaultActivePoints) {
   for (auto& job : jobs) job.config.faults.seed = 2;
   {
     const exec::TelemetrySnapshot before = telemetry.snapshot();
-    experiments::TraceCache cache;
     const std::string reseeded =
-        grid_fingerprint(experiments::run_grid(cache, kernels, jobs));
+        grid_fingerprint(experiments::run_grid(kernels, jobs));
     const exec::TelemetrySnapshot delta = telemetry.snapshot() - before;
     EXPECT_EQ(delta.memo_misses, n_faulted);
     EXPECT_EQ(delta.memo_hits, n_points - n_faulted);
     EXPECT_NE(reseeded, cold) << "fault seed had no observable effect";
   }
-  std::remove(path.c_str());
-}
-
-TEST(IncrementalGrid, RunKernelProbesAndFillsStore) {
-  const auto kernels = experiments::select_kernels({"atax"});
-  const cpu::SystemConfig cfg =
-      experiments::make_config(cpu::Dl1Organization::kNvmVwb);
-  const workloads::CodegenOptions opts = workloads::CodegenOptions::none();
-  const std::string path = temp_store_path("runkernel");
-  std::remove(path.c_str());
-
-  exec::set_result_store(nullptr);
-  experiments::TraceCache ref_cache;
-  const sim::RunStats reference =
-      experiments::run_kernel(ref_cache, kernels[0], cfg, opts);
-
-  ScopedStore store(path);
-  experiments::TraceCache cache;
-  const sim::RunStats cold =
-      experiments::run_kernel(cache, kernels[0], cfg, opts);
-  EXPECT_EQ(store.get().entries(), 1u);
-  auto& telemetry = exec::Telemetry::instance();
-  const exec::TelemetrySnapshot before = telemetry.snapshot();
-  const sim::RunStats warm =
-      experiments::run_kernel(cache, kernels[0], cfg, opts);
-  const exec::TelemetrySnapshot delta = telemetry.snapshot() - before;
-  EXPECT_EQ(delta.memo_hits, 1u);
-  EXPECT_EQ(delta.simulations, 0u);
-  EXPECT_EQ(sim::to_json(warm), sim::to_json(cold));
-  EXPECT_EQ(sim::to_json(cold), sim::to_json(reference));
   std::remove(path.c_str());
 }
 

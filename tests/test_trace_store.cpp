@@ -721,32 +721,31 @@ TEST(TraceStoreIntegration, WarmRunGeneratesZeroTracesAndStaysIdentical) {
   const std::string path = temp_store_path("integration");
   std::remove(path.c_str());
 
+  // One grid point, the way a bench replays it.
+  const auto run = [&] {
+    return sim::to_json(experiments::run_grid({kernel}, {{cfg, opts}})[0][0]);
+  };
   exec::set_trace_store(nullptr);
-  experiments::TraceCache ref_cache;
-  const std::string reference =
-      sim::to_json(experiments::run_kernel(ref_cache, kernel, cfg, opts));
+  const std::string reference = run();
 
   auto& telemetry = exec::Telemetry::instance();
   std::string cold;
   {
     ScopedTraceStore store(path);
     const exec::TelemetrySnapshot before = telemetry.snapshot();
-    experiments::TraceCache cache;
-    cold = sim::to_json(experiments::run_kernel(cache, kernel, cfg, opts));
+    cold = run();
     const exec::TelemetrySnapshot delta = telemetry.snapshot() - before;
     EXPECT_EQ(delta.trace_store_misses, 1u);
     EXPECT_EQ(delta.trace_store_hits, 0u);
     EXPECT_EQ(delta.traces_generated, 1u);
     EXPECT_EQ(store.get().entries(), 1u);
   }
-  // Fresh store object + fresh trace cache: the warm pass must decode the
-  // trace from disk and generate nothing.
+  // Fresh store object: the warm pass must decode the trace from disk and
+  // generate nothing.
   {
     ScopedTraceStore store(path);
     const exec::TelemetrySnapshot before = telemetry.snapshot();
-    experiments::TraceCache cache;
-    const std::string warm =
-        sim::to_json(experiments::run_kernel(cache, kernel, cfg, opts));
+    const std::string warm = run();
     const exec::TelemetrySnapshot delta = telemetry.snapshot() - before;
     EXPECT_EQ(delta.trace_store_hits, 1u);
     EXPECT_EQ(delta.trace_store_misses, 0u);
@@ -766,17 +765,15 @@ TEST(TraceStoreIntegration, StoredTraceDecodesToIdenticalWorkload) {
   std::remove(path.c_str());
 
   exec::set_trace_store(nullptr);
-  experiments::TraceCache ref_cache;
-  const cpu::DecodedTrace& reference = *ref_cache.get_decoded(kernel, opts);
+  const cpu::DecodedTrace reference =
+      experiments::load_or_synthesize(kernel, opts);
 
   {
     ScopedTraceStore store(path);
-    experiments::TraceCache cache;
-    cache.get_decoded(kernel, opts);  // cold: populates the store
+    experiments::load_or_synthesize(kernel, opts);  // cold: fills the store
   }
   ScopedTraceStore store(path);
-  experiments::TraceCache cache;
-  const cpu::DecodedTrace& warm = *cache.get_decoded(kernel, opts);
+  const cpu::DecodedTrace warm = experiments::load_or_synthesize(kernel, opts);
   ASSERT_EQ(warm.ops.size(), reference.ops.size());
   EXPECT_EQ(std::memcmp(warm.ops.data(), reference.ops.data(),
                         warm.ops.size() * sizeof(cpu::DecodedOp)),
@@ -787,8 +784,8 @@ TEST(TraceStoreIntegration, StoredTraceDecodesToIdenticalWorkload) {
 }
 
 // A stored blob that passes the store's record checksum but holds a
-// malformed stream (here a lone escape tag) must not be expanded: the trace
-// cache counts it as a miss and regenerates the trace.
+// malformed stream (here a lone escape tag) must not be expanded: the load
+// counts it as a miss and regenerates the trace.
 TEST(TraceStoreIntegration, MalformedStoredBlobIsAMiss) {
   const workloads::Kernel& kernel = workloads::find_kernel("trisolv");
   const workloads::CodegenOptions opts = workloads::CodegenOptions::none();
@@ -796,8 +793,8 @@ TEST(TraceStoreIntegration, MalformedStoredBlobIsAMiss) {
   std::remove(path.c_str());
 
   exec::set_trace_store(nullptr);
-  experiments::TraceCache ref_cache;
-  const cpu::DecodedTrace reference = *ref_cache.get_decoded(kernel, opts);
+  const cpu::DecodedTrace reference =
+      experiments::load_or_synthesize(kernel, opts);
 
   ScopedTraceStore store(path);
   cpu::CompressedTrace bad;
@@ -808,8 +805,7 @@ TEST(TraceStoreIntegration, MalformedStoredBlobIsAMiss) {
                      blob.data(), blob.size());
   auto& telemetry = exec::Telemetry::instance();
   const exec::TelemetrySnapshot before = telemetry.snapshot();
-  experiments::TraceCache cache;
-  EXPECT_EQ(*cache.get_decoded(kernel, opts), reference);
+  EXPECT_EQ(experiments::load_or_synthesize(kernel, opts), reference);
   const exec::TelemetrySnapshot delta = telemetry.snapshot() - before;
   EXPECT_EQ(delta.trace_store_hits, 0u);
   EXPECT_EQ(delta.trace_store_misses, 1u);

@@ -302,11 +302,11 @@ int run(const CliOptions& o) {
 
   cpu::DecodedTrace trace;
   if (!o.kernel.empty()) {
-    // Through the trace cache: a miss synthesizes the trace (and persists
-    // it when --trace-store is active); a warm store serves the compressed
-    // blob with zero generation.
-    experiments::TraceCache cache;
-    trace = *cache.get_decoded(workloads::find_kernel(o.kernel), o.codegen);
+    // A cold run synthesizes the trace (and persists it when --trace-store
+    // is active); a warm store serves the compressed blob with zero
+    // generation.
+    trace = experiments::load_or_synthesize(workloads::find_kernel(o.kernel),
+                                            o.codegen);
   } else {
     trace = cpu::read_trace_file(o.trace_in);
   }
