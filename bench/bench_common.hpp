@@ -8,8 +8,8 @@
 // (matching the paper figure's bars, plus the AVERAGE bar) is printed.
 // --jobs sets the worker-pool width of the parallel experiment engine
 // (default: one per hardware thread; --jobs=1 is the serial path). A
-// malformed or negative --jobs or --deadline value prints the usage and
-// exits 2.
+// malformed or negative --jobs or --deadline value, or a --jobs above
+// exec::kMaxJobs, prints the usage and exits 2.
 // --store=PATH opens (creating if absent) the persistent result store:
 // previously simulated grid points are read back instead of re-simulated,
 // new points are appended. The STTSIM_RESULT_STORE environment variable
@@ -31,8 +31,6 @@
 #pragma once
 
 #include <cctype>
-#include <cerrno>
-#include <climits>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -49,6 +47,7 @@
 #include "sttsim/exec/trace_store.hpp"
 #include "sttsim/report/figure.hpp"
 #include "sttsim/sim/stats.hpp"
+#include "sttsim/util/text.hpp"
 
 namespace sttsim::benchcli {
 
@@ -90,17 +89,6 @@ inline void open_trace_store(const std::string& path) {
   std::exit(2);
 }
 
-/// A whole non-negative decimal integer that fits `unsigned`.
-inline bool parse_count(const char* s, unsigned& out) {
-  if (!std::isdigit(static_cast<unsigned char>(*s))) return false;
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long v = std::strtoul(s, &end, 10);
-  if (*end != '\0' || errno == ERANGE || v > UINT_MAX) return false;
-  out = static_cast<unsigned>(v);
-  return true;
-}
-
 /// A whole finite non-negative number of seconds.
 inline bool parse_seconds(const char* s, double& out) {
   if (!std::isdigit(static_cast<unsigned char>(*s)) && *s != '.') {
@@ -134,7 +122,9 @@ inline Options parse(int argc, char** argv) {
     } else if (arg.rfind("--trace-store=", 0) == 0) {
       o.trace_store = arg.substr(14);
     } else if (arg.rfind("--jobs=", 0) == 0) {
-      if (!parse_count(arg.c_str() + 7, o.jobs)) bad_value(arg);
+      if (!parse_count(arg.c_str() + 7, o.jobs) || o.jobs > exec::kMaxJobs) {
+        bad_value(arg);
+      }
     } else if (arg.rfind("--deadline=", 0) == 0) {
       if (!parse_seconds(arg.c_str() + 11, o.deadline_s)) bad_value(arg);
     } else if (arg.rfind("--kernels=", 0) == 0) {

@@ -24,6 +24,10 @@ namespace sttsim::exec {
 /// max(1, std::thread::hardware_concurrency()).
 unsigned hardware_jobs();
 
+/// Largest `--jobs=N` the benches and the CLI accept. A pool starts one
+/// thread per job, so a wrapped or mistyped count is refused up front.
+constexpr unsigned kMaxJobs = 1024;
+
 /// Process-wide default parallelism used by executors constructed with
 /// `jobs == 0`. `set_default_jobs(0)` restores hardware_jobs(). This is
 /// what the benches' `--jobs=N` flag sets.

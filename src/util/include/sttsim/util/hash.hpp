@@ -1,6 +1,6 @@
 // Stable streaming 64-bit hasher (FNV-1a) for on-disk keys.
 //
-// The persistent result store (src/exec/result_store) keys records by a
+// The persistent result store (exec/result_store.hpp) keys records by a
 // digest of the full simulation input, so the hash must be *stable*: the
 // same logical input must produce the same 64-bit value on every platform,
 // compiler, and build of the repo. To that end every typed field is first

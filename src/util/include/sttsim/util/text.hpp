@@ -1,4 +1,5 @@
-// Small text-formatting helpers used by reports and error messages.
+// Small text helpers: formatting for reports and error messages, and
+// command-line value parsing.
 // (C++20 <format> is avoided for toolchain portability.)
 #pragma once
 
@@ -25,5 +26,10 @@ std::string pad_right(std::string s, std::size_t width);
 
 /// Pads `s` on the left (right-aligns) to at least `width` characters.
 std::string pad_left(std::string s, std::size_t width);
+
+/// Parses a whole non-negative decimal integer that fits `unsigned` (no
+/// sign, no trailing characters). Returns false, leaving `out` untouched,
+/// on anything else.
+bool parse_count(const char* s, unsigned& out);
 
 }  // namespace sttsim

@@ -1,7 +1,11 @@
 #include "sttsim/util/text.hpp"
 
+#include <cctype>
+#include <cerrno>
+#include <climits>
 #include <cstdarg>
 #include <cstdio>
+#include <cstdlib>
 
 namespace sttsim {
 
@@ -55,6 +59,16 @@ std::string pad_right(std::string s, std::size_t width) {
 std::string pad_left(std::string s, std::size_t width) {
   if (s.size() < width) s.insert(0, width - s.size(), ' ');
   return s;
+}
+
+bool parse_count(const char* s, unsigned& out) {
+  if (!std::isdigit(static_cast<unsigned char>(*s))) return false;
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long v = std::strtoul(s, &end, 10);
+  if (*end != '\0' || errno == ERANGE || v > UINT_MAX) return false;
+  out = static_cast<unsigned>(v);
+  return true;
 }
 
 }  // namespace sttsim

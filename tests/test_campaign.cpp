@@ -464,7 +464,8 @@ TEST_F(CampaignTest, BenchWithSkippedPointsReportsThemAndExits3) {
 TEST_F(CampaignTest, BenchRejectsMalformedJobsAndDeadline) {
   for (const char* bad :
        {"--jobs=abc", "--jobs=", "--jobs=-1", "--jobs=4x", "--jobs= 2",
-        "--jobs=99999999999999999999", "--deadline=abc", "--deadline=",
+        "--jobs=99999999999999999999", "--jobs=4294967295", "--jobs=1025",
+        "--deadline=abc", "--deadline=",
         "--deadline=-1", "--deadline=inf", "--deadline=nan",
         "--deadline=0.5s"}) {
     SCOPED_TRACE(bad);

@@ -1,28 +1,15 @@
-// Tests: the persistent result store (exec/result_store) and the
-// incremental grid recomputation built on it — durability (truncated tail,
-// tampered records, wrong schema), concurrency, cross-process sharing
-// (forked second writers, first-write-wins across processes, recovery from
-// a writer killed mid-append), open-failure diagnostics, and the
-// engine-level invariant that warm results are byte-identical to cold ones
-// at any pool width, with a one-parameter grid edit recomputing only the
-// dirty points.
+// Tests: the simulation digest that keys the persistent result store, and
+// the incremental grid recomputation built on the store — warm results are
+// byte-identical to cold ones at any pool width, and a one-parameter grid
+// edit recomputes only the dirty points. The store's own durability and
+// sharing cases live in test_store.
 #include <gtest/gtest.h>
 
-#include <csignal>
 #include <cstdint>
 #include <cstdio>
-#include <filesystem>
-#include <fstream>
-#include <functional>
 #include <string>
-#include <thread>
 #include <type_traits>
 #include <vector>
-
-#include <fcntl.h>
-#include <sys/file.h>
-#include <sys/wait.h>
-#include <unistd.h>
 
 #include "sttsim/cpu/trace_io.hpp"
 #include "sttsim/exec/parallel_executor.hpp"
@@ -35,463 +22,8 @@
 namespace sttsim {
 namespace {
 
-constexpr std::size_t kHeaderBytes = 24;           // magic, schema, size, check
-constexpr std::size_t kTestPayload = 16;
-constexpr std::size_t kTestRecord = 8 + kTestPayload + 8;
-
 std::string temp_store_path(const char* name) {
   return ::testing::TempDir() + "sttsim_store_" + name + ".bin";
-}
-
-std::vector<std::uint8_t> make_payload(std::uint8_t seed) {
-  std::vector<std::uint8_t> p(kTestPayload);
-  for (std::size_t i = 0; i < p.size(); ++i) {
-    p[i] = static_cast<std::uint8_t>(seed + i);
-  }
-  return p;
-}
-
-/// Overwrites one byte of the file in place (tampering helper).
-void flip_byte(const std::string& path, std::size_t offset) {
-  std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
-  ASSERT_TRUE(f.is_open());
-  f.seekg(static_cast<std::streamoff>(offset));
-  char c = 0;
-  f.get(c);
-  f.seekp(static_cast<std::streamoff>(offset));
-  f.put(static_cast<char>(c ^ 0x5a));
-}
-
-TEST(ResultStore, RoundTripAndReopenFromDisk) {
-  const std::string path = temp_store_path("roundtrip");
-  std::remove(path.c_str());
-  {
-    exec::ResultStore store(path, kTestPayload);
-    EXPECT_EQ(store.entries(), 0u);
-    for (std::uint8_t i = 1; i <= 5; ++i) {
-      store.append(1000 + i, make_payload(i).data());
-    }
-    EXPECT_EQ(store.entries(), 5u);
-    std::uint8_t out[kTestPayload];
-    EXPECT_TRUE(store.lookup(1003, out));
-    EXPECT_EQ(std::vector<std::uint8_t>(out, out + kTestPayload),
-              make_payload(3));
-    EXPECT_FALSE(store.lookup(9999, out));
-  }
-  // Reopen: everything must come back from the bytes on disk.
-  exec::ResultStore store(path, kTestPayload);
-  EXPECT_EQ(store.entries(), 5u);
-  EXPECT_EQ(store.dropped_records(), 0u);
-  EXPECT_EQ(store.truncated_bytes(), 0u);
-  std::uint8_t out[kTestPayload];
-  for (std::uint8_t i = 1; i <= 5; ++i) {
-    ASSERT_TRUE(store.lookup(1000 + i, out));
-    EXPECT_EQ(std::vector<std::uint8_t>(out, out + kTestPayload),
-              make_payload(i));
-  }
-  std::remove(path.c_str());
-}
-
-TEST(ResultStore, FirstWriteWins) {
-  const std::string path = temp_store_path("firstwrite");
-  std::remove(path.c_str());
-  exec::ResultStore store(path, kTestPayload);
-  store.append(42, make_payload(1).data());
-  store.append(42, make_payload(2).data());  // ignored
-  EXPECT_EQ(store.entries(), 1u);
-  std::uint8_t out[kTestPayload];
-  ASSERT_TRUE(store.lookup(42, out));
-  EXPECT_EQ(std::vector<std::uint8_t>(out, out + kTestPayload),
-            make_payload(1));
-  std::remove(path.c_str());
-}
-
-TEST(ResultStore, TruncatedTailIsDroppedAndFileRealigned) {
-  const std::string path = temp_store_path("truncated");
-  std::remove(path.c_str());
-  {
-    exec::ResultStore store(path, kTestPayload);
-    for (std::uint8_t i = 1; i <= 3; ++i) {
-      store.append(i, make_payload(i).data());
-    }
-  }
-  // Chop the third record in half — a crash mid-append.
-  std::filesystem::resize_file(path,
-                               kHeaderBytes + 2 * kTestRecord + kTestRecord / 2);
-  {
-    exec::ResultStore store(path, kTestPayload);
-    EXPECT_EQ(store.entries(), 2u);
-    EXPECT_EQ(store.truncated_bytes(), kTestRecord / 2);
-    std::uint8_t out[kTestPayload];
-    EXPECT_TRUE(store.lookup(1, out));
-    EXPECT_TRUE(store.lookup(2, out));
-    EXPECT_FALSE(store.lookup(3, out));
-    // Appending after recovery must stay record-aligned.
-    store.append(4, make_payload(4).data());
-  }
-  exec::ResultStore store(path, kTestPayload);
-  EXPECT_EQ(store.entries(), 3u);
-  EXPECT_EQ(store.truncated_bytes(), 0u);
-  std::uint8_t out[kTestPayload];
-  EXPECT_TRUE(store.lookup(4, out));
-  EXPECT_EQ(std::vector<std::uint8_t>(out, out + kTestPayload),
-            make_payload(4));
-  std::remove(path.c_str());
-}
-
-TEST(ResultStore, WrongSchemaVersionReinitializesEmpty) {
-  const std::string path = temp_store_path("schema");
-  std::remove(path.c_str());
-  {
-    exec::ResultStore store(path, kTestPayload);
-    store.append(7, make_payload(7).data());
-  }
-  flip_byte(path, 8);  // schema-version field of the header
-  {
-    exec::ResultStore store(path, kTestPayload);
-    EXPECT_EQ(store.entries(), 0u);  // old records invalidated wholesale
-    store.append(8, make_payload(8).data());
-  }
-  exec::ResultStore store(path, kTestPayload);
-  EXPECT_EQ(store.entries(), 1u);
-  EXPECT_FALSE(store.contains(7));
-  EXPECT_TRUE(store.contains(8));
-  std::remove(path.c_str());
-}
-
-TEST(ResultStore, MismatchedPayloadSizeReinitializesEmpty) {
-  const std::string path = temp_store_path("payloadsize");
-  std::remove(path.c_str());
-  {
-    exec::ResultStore store(path, kTestPayload);
-    store.append(7, make_payload(7).data());
-  }
-  exec::ResultStore store(path, kTestPayload * 2);
-  EXPECT_EQ(store.entries(), 0u);
-  std::remove(path.c_str());
-}
-
-// Hit poisoning: a tampered record's checksum no longer matches, so the key
-// must MISS (forcing a recompute) rather than serve corrupt bytes. Records
-// after the tampered one stay readable (alignment preserved).
-TEST(ResultStore, TamperedRecordMissesInsteadOfServingCorruptBytes) {
-  const std::string path = temp_store_path("tampered");
-  std::remove(path.c_str());
-  {
-    exec::ResultStore store(path, kTestPayload);
-    store.append(1, make_payload(1).data());
-    store.append(2, make_payload(2).data());
-  }
-  flip_byte(path, kHeaderBytes + 8 + 3);  // payload byte of record #1
-  exec::ResultStore store(path, kTestPayload);
-  EXPECT_EQ(store.dropped_records(), 1u);
-  EXPECT_EQ(store.entries(), 1u);
-  std::uint8_t out[kTestPayload];
-  EXPECT_FALSE(store.lookup(1, out));  // recompute, don't trust
-  ASSERT_TRUE(store.lookup(2, out));
-  EXPECT_EQ(std::vector<std::uint8_t>(out, out + kTestPayload),
-            make_payload(2));
-  std::remove(path.c_str());
-}
-
-TEST(ResultStore, ConcurrentAppendFromEightThreads) {
-  const std::string path = temp_store_path("concurrent");
-  std::remove(path.c_str());
-  constexpr unsigned kThreads = 8;
-  constexpr unsigned kPerThread = 64;
-  {
-    exec::ResultStore store(path, kTestPayload);
-    std::vector<std::thread> threads;
-    for (unsigned t = 0; t < kThreads; ++t) {
-      threads.emplace_back([&store, t] {
-        for (unsigned i = 0; i < kPerThread; ++i) {
-          const std::uint64_t digest = t * kPerThread + i;
-          const auto payload =
-              make_payload(static_cast<std::uint8_t>(digest & 0xff));
-          store.append(digest, payload.data());
-          // Contended digest: every thread races to write it; first wins.
-          store.append(1ull << 60, payload.data());
-          std::uint8_t out[kTestPayload];
-          EXPECT_TRUE(store.lookup(digest, out));
-        }
-      });
-    }
-    for (std::thread& th : threads) th.join();
-    EXPECT_EQ(store.entries(), kThreads * kPerThread + 1);
-  }
-  // Every record survives the reopen intact.
-  exec::ResultStore store(path, kTestPayload);
-  EXPECT_EQ(store.entries(), kThreads * kPerThread + 1);
-  EXPECT_EQ(store.dropped_records(), 0u);
-  EXPECT_EQ(store.truncated_bytes(), 0u);
-  std::uint8_t out[kTestPayload];
-  for (std::uint64_t d = 0; d < kThreads * kPerThread; ++d) {
-    ASSERT_TRUE(store.lookup(d, out));
-    EXPECT_EQ(out[0], static_cast<std::uint8_t>(d & 0xff));
-  }
-  std::remove(path.c_str());
-}
-
-// Cross-reopen interleaving — pins the multi-writer sharing model: any
-// number of ResultStore instances (same process or not) may write the same
-// path. Every mutation holds an exclusive flock and scans foreign records
-// before appending, so a second instance opened mid-run always reads a
-// well-formed record-aligned snapshot, a digest any writer already landed
-// is never overwritten (first write wins, across instances), and — unlike
-// the pre-lifecycle engine — an interloper's append SURVIVES the original
-// writer's next append: each append seeks to the scanned end of file, so
-// records interleave instead of clobbering. The test pins all of it: the
-// prefix every reopen observes is exact, the original writer's records are
-// never lost or corrupted, and the interleaved file parses with zero
-// dropped records.
-TEST(ResultStore, CrossReopenSeesConsistentSnapshotAndFirstWriteWins) {
-  const std::string path = temp_store_path("crossreopen");
-  std::remove(path.c_str());
-  exec::ResultStore first(path, kTestPayload);
-  constexpr std::uint64_t kRounds = 32;
-  std::uint8_t out[kTestPayload];
-  for (std::uint64_t r = 0; r < kRounds; ++r) {
-    first.append(r, make_payload(static_cast<std::uint8_t>(r)).data());
-
-    // Reopen between appends: every record the owner wrote so far must
-    // come back intact — no drops, no truncation, no torn bytes.
-    exec::ResultStore second(path, kTestPayload);
-    EXPECT_EQ(second.dropped_records(), 0u);
-    EXPECT_EQ(second.truncated_bytes(), 0u);
-    for (std::uint64_t d = 0; d <= r; ++d) {
-      ASSERT_TRUE(second.lookup(d, out)) << "round " << r << " digest " << d;
-      EXPECT_EQ(out[0], static_cast<std::uint8_t>(d));
-    }
-
-    // Re-appending a digest the snapshot holds is a no-op (first write
-    // wins), and a foreign append interleaves with the owner's stream.
-    second.append(r, make_payload(static_cast<std::uint8_t>(r + 100)).data());
-    second.append(1000 + r,
-                  make_payload(static_cast<std::uint8_t>(r + 1)).data());
-  }
-  // Final reopen: the owner's records all survive with their original
-  // bytes, every interloper record survives the owner's later appends,
-  // and the interleaved file parses with zero dropped (corrupt) records.
-  exec::ResultStore final_view(path, kTestPayload);
-  EXPECT_EQ(final_view.dropped_records(), 0u);
-  EXPECT_EQ(final_view.truncated_bytes(), 0u);
-  EXPECT_EQ(final_view.entries(), 2 * kRounds);
-  for (std::uint64_t r = 0; r < kRounds; ++r) {
-    ASSERT_TRUE(final_view.lookup(r, out)) << "owner record " << r << " lost";
-    EXPECT_EQ(out[0], static_cast<std::uint8_t>(r)) << "first write lost";
-    ASSERT_TRUE(final_view.lookup(1000 + r, out))
-        << "interloper record " << r << " lost";
-    EXPECT_EQ(out[0], static_cast<std::uint8_t>(r + 1));
-  }
-  std::remove(path.c_str());
-}
-
-// ---- Multi-process sharing (fork-based) -------------------------------
-
-/// Forks, runs `child` in the child process, and _exits with its return
-/// code (bypassing gtest atexit and inherited stdio buffers). Returns the
-/// child's exit status in the parent.
-int run_forked(const std::function<int()>& child) {
-  std::fflush(nullptr);  // no double-flush of inherited buffers
-  const pid_t pid = fork();
-  if (pid == 0) {
-    _exit(child());
-  }
-  int status = 0;
-  waitpid(pid, &status, 0);
-  return status;
-}
-
-// Two processes appending concurrently to one store path: every record
-// from both writers must be readable afterwards, with zero dropped or
-// truncated bytes — the flock around each append keeps records from
-// tearing each other no matter how the schedulers interleave them.
-TEST(ResultStoreMultiProcess, ConcurrentForkedWriterInterleavesCleanly) {
-  const std::string path = temp_store_path("forkwriter");
-  std::remove(path.c_str());
-  exec::ResultStore store(path, kTestPayload);
-
-  const int status = run_forked([&path] {
-    exec::ResultStore child_store(path, kTestPayload);
-    for (std::uint64_t d = 2000; d < 2064; ++d) {
-      child_store.append(
-          d, make_payload(static_cast<std::uint8_t>(d & 0xff)).data());
-    }
-    return 0;
-  });
-  // Parent appends its own range while (and after) the child runs.
-  for (std::uint64_t d = 0; d < 64; ++d) {
-    store.append(d, make_payload(static_cast<std::uint8_t>(d & 0xff)).data());
-  }
-  ASSERT_TRUE(WIFEXITED(status));
-  EXPECT_EQ(WEXITSTATUS(status), 0);
-
-  // refresh() pulls the child's records into the parent's index.
-  store.refresh();
-  EXPECT_EQ(store.entries(), 128u);
-  std::uint8_t out[kTestPayload];
-  for (std::uint64_t d = 0; d < 64; ++d) {
-    ASSERT_TRUE(store.lookup(d, out));
-    ASSERT_TRUE(store.lookup(2000 + d, out));
-  }
-  // The interleaved file parses clean from scratch.
-  exec::ResultStore reopened(path, kTestPayload);
-  EXPECT_EQ(reopened.entries(), 128u);
-  EXPECT_EQ(reopened.dropped_records(), 0u);
-  EXPECT_EQ(reopened.truncated_bytes(), 0u);
-  std::remove(path.c_str());
-}
-
-// First-write-wins must hold ACROSS processes: a digest the child landed
-// first is never overwritten by the parent's later append, even though the
-// parent has not called refresh() — append itself scans foreign records
-// under the lock before writing.
-TEST(ResultStoreMultiProcess, FirstWriteWinsAcrossProcesses) {
-  const std::string path = temp_store_path("forkfww");
-  std::remove(path.c_str());
-  exec::ResultStore store(path, kTestPayload);
-
-  const int status = run_forked([&path] {
-    exec::ResultStore child_store(path, kTestPayload);
-    child_store.append(5000, make_payload(11).data());
-    return 0;
-  });
-  ASSERT_TRUE(WIFEXITED(status));
-  ASSERT_EQ(WEXITSTATUS(status), 0);
-
-  // The child exited before this append, so it unambiguously wrote first.
-  store.append(5000, make_payload(99).data());
-  std::uint8_t out[kTestPayload];
-  ASSERT_TRUE(store.lookup(5000, out));
-  EXPECT_EQ(std::vector<std::uint8_t>(out, out + kTestPayload),
-            make_payload(11))
-      << "parent overwrote a record another process had already computed";
-  exec::ResultStore reopened(path, kTestPayload);
-  EXPECT_EQ(reopened.entries(), 1u);
-  std::remove(path.c_str());
-}
-
-// A child killed mid-append — SIGKILL with the file lock held and half a
-// record written — must not poison the store: the kernel releases its
-// flock (no stale lock to recover), and the parent's next refresh()
-// truncates the torn tail so future appends stay record-aligned.
-TEST(ResultStoreMultiProcess, KilledMidAppendChildTailIsTruncatedOnRefresh) {
-  const std::string path = temp_store_path("forkkill");
-  std::remove(path.c_str());
-  exec::ResultStore store(path, kTestPayload);
-  store.append(1, make_payload(1).data());
-
-  const int status = run_forked([&path]() -> int {
-    // The exact on-disk state a writer killed mid-append leaves behind:
-    // exclusive flock held, half a record at the end of the file.
-    const int fd = ::open(path.c_str(), O_WRONLY | O_APPEND);
-    if (fd < 0) return 1;
-    if (flock(fd, LOCK_EX) != 0) return 2;
-    const std::vector<std::uint8_t> half(kTestRecord / 2, 0xab);
-    if (write(fd, half.data(), half.size()) !=
-        static_cast<ssize_t>(half.size())) {
-      return 3;
-    }
-    raise(SIGKILL);  // dies holding the lock, mid-record
-    return 4;        // unreachable
-  });
-  ASSERT_TRUE(WIFSIGNALED(status));
-  ASSERT_EQ(WTERMSIG(status), SIGKILL);
-
-  // The dead child's lock is gone (kernel-released): refresh() proceeds,
-  // finds no new complete record, and truncates the torn tail.
-  EXPECT_EQ(store.refresh(), 0u);
-  EXPECT_EQ(store.truncated_bytes(), kTestRecord / 2);
-  EXPECT_EQ(store.entries(), 1u);
-
-  // Post-recovery appends stay aligned and a fresh open parses clean.
-  store.append(2, make_payload(2).data());
-  exec::ResultStore reopened(path, kTestPayload);
-  EXPECT_EQ(reopened.entries(), 2u);
-  EXPECT_EQ(reopened.dropped_records(), 0u);
-  EXPECT_EQ(reopened.truncated_bytes(), 0u);
-  std::uint8_t out[kTestPayload];
-  EXPECT_TRUE(reopened.lookup(1, out));
-  EXPECT_TRUE(reopened.lookup(2, out));
-  std::remove(path.c_str());
-}
-
-// lookup() deliberately probes only the in-memory index; refresh() is the
-// explicit synchronization point that makes another process's appends
-// visible (and reports how many arrived).
-TEST(ResultStoreMultiProcess, RefreshMakesForeignAppendsVisible) {
-  const std::string path = temp_store_path("forkrefresh");
-  std::remove(path.c_str());
-  exec::ResultStore store(path, kTestPayload);
-
-  const int status = run_forked([&path] {
-    exec::ResultStore child_store(path, kTestPayload);
-    for (std::uint64_t d = 100; d < 103; ++d) {
-      child_store.append(d, make_payload(static_cast<std::uint8_t>(d)).data());
-    }
-    return 0;
-  });
-  ASSERT_TRUE(WIFEXITED(status));
-  ASSERT_EQ(WEXITSTATUS(status), 0);
-
-  std::uint8_t out[kTestPayload];
-  EXPECT_FALSE(store.lookup(100, out)) << "lookup must not do hidden I/O";
-  EXPECT_EQ(store.refresh(), 3u);
-  for (std::uint64_t d = 100; d < 103; ++d) {
-    ASSERT_TRUE(store.lookup(d, out));
-    EXPECT_EQ(out[0], static_cast<std::uint8_t>(d));
-  }
-  EXPECT_EQ(store.refresh(), 0u);  // idempotent when nothing new arrived
-  std::remove(path.c_str());
-}
-
-// ---- Open-failure diagnostics -----------------------------------------
-
-TEST(ResultStoreOpenErrors, PathIsADirectory) {
-  const std::string dir = ::testing::TempDir() + "sttsim_store_dir_as_path";
-  std::filesystem::create_directory(dir);
-  try {
-    exec::ResultStore store(dir, kTestPayload);
-    FAIL() << "expected std::runtime_error";
-  } catch (const std::runtime_error& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find(dir), std::string::npos) << what;
-    EXPECT_NE(what.find("directory"), std::string::npos) << what;
-  }
-  std::filesystem::remove(dir);
-}
-
-TEST(ResultStoreOpenErrors, MissingParentDirectory) {
-  const std::string path =
-      ::testing::TempDir() + "sttsim_no_such_dir/deeper/store.bin";
-  try {
-    exec::ResultStore store(path, kTestPayload);
-    FAIL() << "expected std::runtime_error";
-  } catch (const std::runtime_error& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find(path), std::string::npos) << what;
-    EXPECT_NE(what.find("parent directory does not exist"), std::string::npos)
-        << what;
-  }
-}
-
-TEST(ResultStoreOpenErrors, UnwritableDirectory) {
-  if (geteuid() == 0) {
-    GTEST_SKIP() << "permission checks are bypassed for root";
-  }
-  const std::string dir = ::testing::TempDir() + "sttsim_store_readonly";
-  std::filesystem::create_directory(dir);
-  std::filesystem::permissions(dir, std::filesystem::perms::owner_read |
-                                        std::filesystem::perms::owner_exec);
-  try {
-    exec::ResultStore store(dir + "/store.bin", kTestPayload);
-    FAIL() << "expected std::runtime_error";
-  } catch (const std::runtime_error& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("permission denied"), std::string::npos) << what;
-  }
-  std::filesystem::permissions(dir, std::filesystem::perms::owner_all);
-  std::filesystem::remove(dir);
 }
 
 // ---- Digest and engine-level behavior --------------------------------

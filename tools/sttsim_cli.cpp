@@ -227,7 +227,12 @@ CliOptions parse_args(int argc, char** argv) {
             static_cast<unsigned>(std::stoul(parts[1]));
       }
     } else if (take("--jobs=")) {
-      exec::set_default_jobs(static_cast<unsigned>(std::stoul(val)));
+      unsigned jobs = 0;
+      if (!parse_count(val.c_str(), jobs) || jobs > exec::kMaxJobs) {
+        std::fprintf(stderr, "%s: bad value in '%s'\n", argv[0], arg.c_str());
+        usage(argv[0]);
+      }
+      exec::set_default_jobs(jobs);
     } else if (take("--store=")) {
       o.store = val;
     } else if (arg == "--no-store") {
